@@ -172,11 +172,6 @@ def main(argv: list[str] | None = None) -> int:
         ("backend artifact identity",
          bool(serve.get("artifacts_identical", False)),
          str(serve.get("artifacts_identical"))),
-        ("affinity warm routing",
-         serve.get("affinity_hit_rate", 0.0) >= sbase["min_affinity_hit_rate"],
-         f"{serve.get('affinity_hit_rate', 0.0):.0%} resubmissions to bound "
-         f"workers (floor {sbase['min_affinity_hit_rate']:.0%}; "
-         "deterministic, not core-gated)"),
         ("routing timeline speedup",
          routing["timeline_speedup"] >= rbase["min_timeline_speedup"],
          f"{routing['timeline_speedup']:.1f}x (floor {rbase['min_timeline_speedup']}x)"),

@@ -1,4 +1,4 @@
-"""S1 — Serve-layer throughput: worker scaling, backend axis, affinity, cache.
+"""S1 — Serve-layer throughput: worker scaling, backend axis, cache, journal.
 
 Four sections:
 
@@ -11,14 +11,9 @@ Four sections:
    ``thread`` backend vs the ``process`` backend at equal worker counts.
    Threads serialize on the GIL here; the preforked process pool must win
    by ≥1.5× while producing byte-identical artifacts.
-3. **Affinity economics** — resubmit a campaign through the process
-   backend: sticky routing must send ≥80% of the resubmission back to
-   each job's bound worker (whose process-local caches hold it warm), and
-   the per-worker hit/miss/steal counters land in the output JSON so the
-   win is observable, not asserted.
-4. **Warm cache** — resubmit the identical campaign against the warm
+3. **Warm cache** — resubmit the identical campaign against the warm
    artifact cache to measure the memoization win.
-5. **Durability tax** — the CPU-bound campaign again with the write-ahead
+4. **Durability tax** — the CPU-bound campaign again with the write-ahead
    journal on (fsync'd submit/complete records): overhead vs the
    unjournaled broker must stay within a few percent, and a fresh broker
    resumed on the same journal must re-join every completion byte-
@@ -49,7 +44,6 @@ from repro.synth.world import WorldConfig, build_world
 MIN_WORKER_SPEEDUP = 2.0  # 4 workers vs 1 worker, 50-job campaign
 MIN_PROCESS_SPEEDUP = 1.5  # process vs thread backend, CPU-bound campaign
 MIN_RESUBMIT_HIT_RATE = 0.90
-MIN_AFFINITY_HIT_RATE = 0.80  # warm routing on campaign resubmission
 #: The CI smoke keeps looser scaling bars: on loaded shared runners the
 #: GIL-bound execution stage eats into the latency overlap, small campaigns
 #: amortize less startup jitter, and the process pool pays its fork cost
@@ -146,42 +140,6 @@ def compare_backends(world, jobs, workers: int) -> dict:
     row["artifacts_identical"] = row["digests"]["thread"] == row["digests"]["process"]
     print(f"  process vs thread: {row['speedup']:.2f}x  "
           f"byte-identical artifacts: {row['artifacts_identical']}")
-    return row
-
-
-def measure_affinity(world, jobs, workers: int) -> dict:
-    """Campaign resubmission through the process backend: warm-routing rate.
-
-    The cold round binds every (world, query) affinity key to a worker and
-    fills that worker's process-local caches; the resubmission must route
-    back to the bound workers (hit rate over the second round only) and
-    finish faster off their warm caches.
-    """
-    broker = QueryBroker(
-        world, config=ServeConfig(workers=workers, backend="process")
-    ).start()
-    try:
-        cold = run_campaign(broker, jobs)
-        assert cold.failed == 0, f"affinity cold round: {cold.outcomes}"
-        before = broker.stats()["backend"]["affinity"]
-        warm = run_campaign(broker, jobs)
-        assert warm.failed == 0, f"affinity warm round: {warm.outcomes}"
-        after = broker.stats()["backend"]["affinity"]
-    finally:
-        broker.shutdown()
-    routed = sum(after[k] - before[k] for k in ("hits", "misses", "steals"))
-    hit_rate = (after["hits"] - before["hits"]) / routed if routed else 0.0
-    row = {
-        "jobs": len(jobs),
-        "workers": workers,
-        "hit_rate": round(hit_rate, 4),
-        "resubmit_speedup": round(warm.jobs_per_sec / cold.jobs_per_sec, 3),
-        "counters": after,
-    }
-    print(f"  resubmit routing: {after['hits'] - before['hits']}/{routed} "
-          f"to bound workers ({hit_rate:.0%}), "
-          f"{row['resubmit_speedup']:.2f}x vs cold "
-          f"({after['steals']} steals, {after['respawns']} respawns total)")
     return row
 
 
@@ -308,18 +266,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  speedup {scaled}w vs {baseline}w: {speedup:.2f}x")
 
     backends = None
-    affinity = None
     cores = available_cores()
     if not args.skip_backends:
         print(f"\n=== backend axis — {args.cpu_jobs} CPU-bound jobs "
               f"(zero LLM latency, cache off), {args.backend_workers} workers, "
               f"{cores} core(s) available ===")
         backends = compare_backends(
-            world, build_jobs(world, args.cpu_jobs), args.backend_workers
-        )
-        print(f"\n=== affinity economics — {args.cpu_jobs} jobs resubmitted, "
-              f"{args.backend_workers} workers, process backend ===")
-        affinity = measure_affinity(
             world, build_jobs(world, args.cpu_jobs), args.backend_workers
         )
 
@@ -360,10 +312,6 @@ def main(argv: list[str] | None = None) -> int:
             summary["process_speedup"] = round(backends["speedup"], 3)
             summary["artifacts_identical"] = backends["artifacts_identical"]
             summary["cores"] = cores
-        if affinity is not None:
-            summary["affinity_hit_rate"] = affinity["hit_rate"]
-            summary["affinity_resubmit_speedup"] = affinity["resubmit_speedup"]
-            summary["affinity"] = affinity["counters"]
         if durability is not None:
             summary["journal_overhead_pct"] = durability["journal_overhead_pct"]
             summary["durability"] = durability
@@ -398,14 +346,6 @@ def main(argv: list[str] | None = None) -> int:
                 print("  NOTE: single core available — process-speedup "
                       "threshold skipped (artifact identity still enforced)")
                 process_note = ", identical artifacts (1 core: no speedup bar)"
-        if affinity is not None:
-            # Sticky routing is deterministic; the bar holds on any core count.
-            assert affinity["hit_rate"] >= MIN_AFFINITY_HIT_RATE, (
-                f"affinity hit rate {affinity['hit_rate']:.0%} below "
-                f"{MIN_AFFINITY_HIT_RATE:.0%} on resubmission"
-            )
-            process_note += (f", >={MIN_AFFINITY_HIT_RATE:.0%} warm "
-                             "affinity routing")
         if durability is not None:
             max_tax = (SMOKE_MAX_JOURNAL_OVERHEAD_PCT if args.smoke
                        else MAX_JOURNAL_OVERHEAD_PCT)

@@ -69,12 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="execution backend: 'thread' overlaps LLM latency "
                             "in-process, 'process' runs CPU-bound pipelines on "
                             "a preforked process pool (default thread)")
-    serve.add_argument("--no-affinity", action="store_true",
-                       help="disable sticky affinity routing for --backend "
-                            "process (jobs spread purely by worker load)")
-    serve.add_argument("--dispatch-batch", type=int, default=8, metavar="N",
-                       help="jobs coalesced into one process-backend dispatch "
-                            "message (default 8; 1 disables batching)")
     serve.add_argument("--no-cache", action="store_true",
                        help="disable the artifact cache in serve modes")
     serve.add_argument("--limit", type=int, metavar="N",
@@ -130,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "epoch ticks, alerts and forensic cases")
     obs.add_argument("--metrics-dump", nargs="?", const="-", metavar="PATH",
                      help="after the run, dump the unified metrics registry "
-                          "(queue depth, affinity/cache hit rates, bus "
+                          "(queue depth, cache hit rates, respawns, bus "
                           "drops, ...) in Prometheus text format to PATH "
                           "('-' or no value = stdout)")
     obs.add_argument("--obs-port", type=int, metavar="PORT",
@@ -138,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "the run is in flight: /metrics (Prometheus), "
                           "/healthz (SLO verdict, non-200 on breach), "
                           "/debug/flight (postmortem dump), /debug/broker "
-                          "(scheduler/affinity stats); 0 picks a free port. "
+                          "(scheduler/backend stats); 0 picks a free port. "
                           "Also arms the SLO engine and flight recorder")
     obs.add_argument("--slo-config", metavar="PATH",
                      help="JSON file of SLO specs replacing the built-in "
@@ -160,8 +154,6 @@ def _serve_config(args) -> "ServeConfig":
 
     return ServeConfig(workers=args.workers, backend=args.backend,
                        cache_enabled=not args.no_cache,
-                       affinity=not args.no_affinity,
-                       dispatch_batch=args.dispatch_batch,
                        tracing=bool(args.trace_out),
                        flight=bool(args.flight_dir) or args.obs_port is not None,
                        flight_dir=args.flight_dir,
@@ -260,7 +252,6 @@ def run_batch(args, world, registry, incidents) -> int:
             _load_cache(broker, cache_file)
             report = run_campaign(broker, spec)
             ledger_summary = broker.ledger.summary()
-            backend_stats = broker.stats()["backend"]
             _spill_cache(broker, cache_file)
             _dump_obs(args, broker)
         finally:
@@ -279,11 +270,6 @@ def run_batch(args, world, registry, incidents) -> int:
             print(f"cache:    {report.cache['hits']} hits / "
                   f"{report.cache['misses']} misses "
                   f"({report.cache['hit_rate']:.0%} hit rate)")
-        affinity = backend_stats.get("affinity")
-        if affinity:
-            print(f"affinity: {affinity['hits']} hits / {affinity['misses']} "
-                  f"misses / {affinity['steals']} steals "
-                  f"({affinity['hit_rate']:.0%} warm routing)")
         print("top exposed countries across scenarios:")
         for row in report.top_countries[:8]:
             print(f"  {row['country']:<4} mean score {row['mean_score']:.3f} "
@@ -371,8 +357,6 @@ def run_live(args, world, registry) -> int:
         pace_s=args.pace_ms / 1000.0,
         workers=args.workers,
         backend=args.backend,
-        affinity=not args.no_affinity,
-        dispatch_batch=args.dispatch_batch,
         cache_enabled=not args.no_cache,
         cache_dir=_effective_cache_dir(args),
         max_epoch_shards=args.max_epoch_shards,

@@ -52,9 +52,6 @@ class LiveConfig:
     pace_s: float = 0.0  # real seconds per epoch; 0 = as fast as possible
     workers: int = 2
     backend: str = "thread"  # standing-query execution backend (see serve.backends)
-    #: Process-backend tuning, passed through to :class:`ServeConfig`.
-    affinity: bool = True
-    dispatch_batch: int = 8
     cache_enabled: bool = True
     cache_dir: str | None = None
     pair_count: int = 8
@@ -262,8 +259,6 @@ def run_live_replay(
             world,
             registry=registry,
             config=ServeConfig(workers=cfg.workers, backend=cfg.backend,
-                               affinity=cfg.affinity,
-                               dispatch_batch=cfg.dispatch_batch,
                                cache_enabled=cfg.cache_enabled,
                                tracing=cfg.tracing,
                                flight=flight_on,

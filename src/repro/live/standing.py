@@ -20,7 +20,7 @@ configuration materializes one broker world shard, and a long timeline
 over a rich disaster catalog would otherwise grow that population without
 bound.  The :class:`EpochShardPool` keeps an LRU of at most
 ``max_epoch_shards`` evolved shards, evicting the least recently used idle
-shard (and its backend templates/affinity bindings, via
+shard (and its backend payload templates, via
 :meth:`QueryBroker.remove_world`) when a new configuration appears; a
 re-encountered fingerprint simply rebuilds.  The pool is shared
 infrastructure: the standing-query manager and the forensic trigger plane

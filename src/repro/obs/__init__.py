@@ -13,7 +13,7 @@ package is the single place all of that lands:
   plane a few attribute checks when tracing is off.
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges and log-bucketed histograms absorbing the scattered stats dicts
-  (scheduler depth, affinity routing, shm transport, cache economics,
+  (scheduler depth, worker respawns, shm transport, cache economics,
   bus drops, forensic latency) behind one Prometheus-text dump.
 * :mod:`repro.obs.health` — the :class:`SloEngine` *consumes* the
   registry: declarative :class:`SloSpec` objectives judged over sliding

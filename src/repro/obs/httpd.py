@@ -9,8 +9,8 @@ expose its health and state as a network interface, not a log file.
 ``/metrics``        Prometheus text exposition of the whole registry
 ``/healthz``        aggregate SLO verdict (JSON); **non-200 on breach**
 ``/debug/flight``   trigger a flight-recorder dump and return it inline
-``/debug/broker``   ``broker.stats()`` — scheduler depths, affinity,
-                    per-band counters — as JSON
+``/debug/broker``   ``broker.stats()`` — scheduler depths, backend
+                    respawns and transport mix, per-band counters — as JSON
 ``/debug/deadletter``  the poison-job dead-letter queue: every
                     quarantined (world, query) signature with its crash
                     history, as JSON

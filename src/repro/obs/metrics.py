@@ -1,7 +1,7 @@
 """One registry for every counter in the system.
 
 Before this module the system's numbers lived in scattered ad-hoc dicts —
-``broker.stats()``, ``backend.stats()["affinity"]``, ``cache_info()``,
+``broker.stats()``, ``backend.stats()["dispatch"]``, ``cache_info()``,
 ``bus.stats()`` — each with its own shape and no way to scrape them
 together.  A :class:`MetricsRegistry` holds three instrument kinds:
 

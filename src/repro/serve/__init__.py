@@ -21,8 +21,8 @@ from repro.serve.backends import (
     ProcessPoolBackend,
     ThreadPoolBackend,
     WorkerCrashed,
-    affinity_key,
     build_backend,
+    job_key,
 )
 from repro.serve.broker import (
     DEFAULT_WORLD_KEY,
@@ -70,8 +70,8 @@ __all__ = [
     "JournalState",
     "ProcessPoolBackend",
     "ThreadPoolBackend",
-    "affinity_key",
     "build_backend",
+    "job_key",
     "CampaignJob",
     "CampaignReport",
     "CampaignSpec",

@@ -7,30 +7,21 @@ decides what happens to a claimed job:
   against the shard's shared in-process system.  Right when hosted-LLM
   round-trip latency dominates: threads overlap the waits, artifacts stay
   in shared memory, and the broker-wide :class:`ArtifactCache` is shared.
-* :class:`ProcessPoolBackend` — an affinity-aware execution plane over
-  explicit preforked worker processes.  Right when generated-code
-  execution is CPU-bound: each process escapes the GIL and holds a
-  process-local world/system/artifact cache, and three mechanisms keep
-  the IPC bill from eating the win:
-
-  - **sticky affinity routing** — jobs hash to a (world, query) affinity
-    key; the dispatcher remembers which worker served a key and sends
-    resubmissions back to its warm caches, with a work-stealing fallback
-    (an idle worker takes over a key whose bound worker is backlogged)
-    so a hot world cannot starve the pool;
-  - **zero-copy transport** — results travel as pickle-protocol-5
-    payloads whose large bodies move through
-    :mod:`multiprocessing.shared_memory` segments instead of queue pipes
-    (see :mod:`repro.serve.transport`), and per-job requests are small
-    deltas against a :class:`JobPayload` template shipped once per
-    worker per shard;
-  - **batched dispatch** — concurrent dispatches to the same worker are
-    coalesced into one queue message, and workers prefork with every
-    already-registered world preloaded so first jobs land on warm state.
+* :class:`ProcessPoolBackend` — an execution plane over explicit
+  preforked worker processes.  Right when generated-code execution is
+  CPU-bound: each process escapes the GIL and holds a process-local
+  world/system/artifact cache.  Each job goes to the least-loaded worker
+  as a small ``(query, params)`` delta against a :class:`JobPayload`
+  template shipped once per worker per shard, and comes back as one
+  reply; results at or above :data:`transport.DEFAULT_SHM_MIN_BYTES`
+  move through :mod:`multiprocessing.shared_memory` segments instead of
+  the reply pipe (see :mod:`repro.serve.transport`).  Workers prefork
+  with every already-registered world preloaded so first jobs land on
+  warm state.
 
   A worker process that dies mid-job is respawned by a monitor thread;
   its in-flight jobs surface as :class:`WorkerCrashed` so the broker can
-  retry them once on a different worker.
+  retry them on a different worker.
 
 Both backends produce byte-identical artifacts for the same job: the
 pipeline is deterministic in (query, params, world config, registry), which
@@ -50,7 +41,6 @@ import os
 import pickle
 import threading
 import time
-from collections import OrderedDict, deque
 from concurrent.futures import Future
 from dataclasses import dataclass
 from multiprocessing import connection
@@ -75,9 +65,6 @@ BACKEND_NAMES = ("thread", "process")
 #: depth deterministically.
 FAULT_PARAM = "_serve_fault"
 
-#: Sticky bindings kept per backend before the oldest are forgotten.
-AFFINITY_MAP_BOUND = 65536
-
 
 class BackendError(RuntimeError):
     """Unknown backend names, unpicklable payload parts, or non-rebuildable
@@ -85,12 +72,12 @@ class BackendError(RuntimeError):
 
 
 class WorkerCrashed(BackendError):
-    """A worker process died with this job in flight.  Carries the affinity
+    """A worker process died with this job in flight.  Carries the worker
     slot so a retry can exclude it."""
 
     def __init__(self, worker_index: int, message: str = ""):
         super().__init__(
-            message or f"worker process on affinity slot {worker_index} died mid-job"
+            message or f"worker process on slot {worker_index} died mid-job"
         )
         self.worker_index = worker_index
 
@@ -118,12 +105,11 @@ class JobDeadlineExceeded(BackendError):
         return (JobDeadlineExceeded, (self.worker_index, self.timeout_s))
 
 
-def affinity_key(shard: WorldShard, query: str, params: dict | None) -> str:
+def job_key(shard: WorldShard, query: str, params: dict | None) -> str:
     """Stable identity of one job: shard key, world fingerprint, query text
-    and canonical params.  Sticky affinity routing hashes it to pick a warm
-    worker, and the write-ahead journal reuses it as the exactly-once
-    idempotency key — same material, same digest, one notion of "the same
-    job"."""
+    and canonical params.  The write-ahead journal uses it as the
+    exactly-once idempotency key, so the material must never change:
+    journals written by earlier versions re-join on it."""
     material = "\x00".join((
         shard.key,
         shard.world.fingerprint(),
@@ -286,9 +272,8 @@ def _decode_exception(message: tuple) -> Exception:
     return BackendError(f"{type_name}: {text}")
 
 
-def _run_one(index, templates, row, shm_min_bytes) -> tuple:
-    job_id, shard_key, query, params = row[:4]
-    trace = row[4] if len(row) > 4 else None
+def _run_one(index, templates, row) -> tuple:
+    job_id, shard_key, query, params, trace = row
     try:
         if params:
             params = dict(params)
@@ -303,14 +288,14 @@ def _run_one(index, templates, row, shm_min_bytes) -> tuple:
         payload = dataclasses.replace(template, query=query, params=params,
                                       trace=trace)
         result, meta = _process_execute(payload, worker_index=index)
-        return (job_id, True, transport.encode(result, shm_min_bytes), meta)
+        return (job_id, True, transport.encode(result), meta)
     except Exception as exc:  # shipped back and re-raised broker-side
         return (job_id, False, _encode_exception(exc), None)
 
 
-def _worker_main(index: int, requests, replies, shm_min_bytes: int,
+def _worker_main(index: int, requests, replies,
                  close_fds: tuple[int, ...] = ()) -> None:
-    """One worker process: drain batches, run pipelines, reply per batch.
+    """One worker process: take jobs one at a time, reply once per job.
 
     ``replies`` is this worker's *own* pipe connection — workers never
     share a reply channel, so a worker SIGKILLed mid-write cannot poison
@@ -350,10 +335,10 @@ def _worker_main(index: int, requests, replies, shm_min_bytes: int,
             if template is not None:
                 _WORKER_SYSTEMS.pop(_system_key(template), None)
             continue
-        _, new_templates, rows = message  # ("batch", {shard: template}, rows)
-        templates.update(new_templates)
-        out = [_run_one(index, templates, row, shm_min_bytes) for row in rows]
-        replies.send(("done", index, out))
+        _, template, row = message  # ("job", template or None, row)
+        if template is not None:
+            templates[row[1]] = template
+        replies.send(("done", index, _run_one(index, templates, row)))
 
 
 # -- broker side --------------------------------------------------------------
@@ -371,9 +356,6 @@ class ExecutionBackend:
     """
 
     name = "base"
-    #: Backends that overlap many jobs per claiming thread opt into the
-    #: broker's batched claim path (``run_many`` with several items).
-    supports_batch = False
     #: The broker rebinds these to its own tracer/registry at construction;
     #: the class defaults keep a standalone backend fully functional.
     tracer = NULL_TRACER
@@ -392,7 +374,7 @@ class ExecutionBackend:
         pass
 
     def forget(self, shard_key: str) -> None:
-        """Drop any per-shard state (templates, affinity bindings)."""
+        """Drop any per-shard state (payload templates)."""
 
     def run(
         self,
@@ -403,27 +385,9 @@ class ExecutionBackend:
         excluded_workers: tuple[int, ...] = (),
         trace=None,
     ) -> PipelineResult:
-        raise NotImplementedError
-
-    def run_many(
-        self, items: list[tuple], excluded_workers: tuple[int, ...] = ()
-    ) -> list:
-        """Run ``(shard, query, params, observer[, trace])`` items; one
-        outcome per item, a :class:`PipelineResult` or the exception it
-        raised.  The optional fifth element is the dispatch-span
+        """Answer one job.  ``trace`` is the dispatch-span
         :class:`~repro.obs.TraceContext` to parent execution spans under."""
-        outcomes = []
-        for item in items:
-            shard, query, params, observer = item[:4]
-            trace = item[4] if len(item) > 4 else None
-            try:
-                outcomes.append(
-                    self.run(shard, query, params, observer=observer,
-                             excluded_workers=excluded_workers, trace=trace)
-                )
-            except Exception as exc:
-                outcomes.append(exc)
-        return outcomes
+        raise NotImplementedError
 
     def stats(self) -> dict:
         return {"backend": self.name}
@@ -448,17 +412,16 @@ class ThreadPoolBackend(ExecutionBackend):
 
 
 class _WorkerSlot:
-    """Broker-side view of one worker process (an affinity slot).
+    """Broker-side view of one worker process.
 
     The slot survives its process: a crashed worker is respawned in place
-    with a bumped ``generation``, which lazily invalidates affinity
-    bindings and template-shipping state tied to the old process.  Each
-    generation gets a fresh request queue and a fresh *private* reply
-    pipe (``reply_r`` broker-side, ``reply_w`` shipped to the process).
+    with a bumped ``generation``.  Each generation gets a fresh request
+    queue, fresh template-shipping state and a fresh *private* reply pipe
+    (``reply_r`` broker-side, ``reply_w`` shipped to the process).
     """
 
     __slots__ = ("index", "generation", "process", "request_q",
-                 "reply_r", "reply_w", "templates_sent", "pending", "inflight")
+                 "reply_r", "reply_w", "templates_sent", "inflight")
 
     def __init__(self, index: int):
         self.index = index
@@ -468,23 +431,18 @@ class _WorkerSlot:
         self.reply_r = None
         self.reply_w = None
         self.templates_sent: set[str] = set()
-        self.pending: deque = deque()  # (job_id, shard_key, query, params, trace)
         #: job_id -> monotonic dispatch timestamp; the monitor's deadline
-        #: sweep reads the timestamps, everything else treats it as a set.
+        #: sweep reads the timestamps, dispatch counts the entries as load.
         self.inflight: dict[int, float] = {}
-
-    def depth(self) -> int:
-        return len(self.pending) + len(self.inflight)
 
 
 class ProcessPoolBackend(ExecutionBackend):
-    """Affinity-aware zero-copy execution plane over preforked processes.
+    """Execution plane over preforked worker processes.
 
     Explicit worker processes (not a :class:`multiprocessing.Pool`): each
-    affinity slot owns a request queue, so the dispatcher controls *which*
-    process a job lands on — the whole point of sticky routing.  A sender
-    thread coalesces concurrent dispatches per slot into batched messages,
-    a collector thread multiplexes every worker's *private* reply pipe
+    slot owns a request queue, so the dispatcher controls *which* process
+    a job lands on — the least-loaded one that a retry has not excluded.
+    A collector thread multiplexes every worker's *private* reply pipe
     (decoding shared-memory payloads, see :mod:`repro.serve.transport`),
     and a monitor thread respawns dead workers and fails their in-flight
     jobs with :class:`WorkerCrashed` so the broker can retry them
@@ -501,7 +459,6 @@ class ProcessPoolBackend(ExecutionBackend):
     """
 
     name = "process"
-    supports_batch = True
 
     def __init__(
         self,
@@ -509,26 +466,14 @@ class ProcessPoolBackend(ExecutionBackend):
         llm_factory=None,
         cache_entries: int = 4096,
         start_method: str | None = None,
-        affinity: bool = True,
-        steal_threshold: int = 2,
-        dispatch_batch: int = 8,
-        shm_min_bytes: int = transport.DEFAULT_SHM_MIN_BYTES,
         job_timeout_s: float | None = None,
     ):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if dispatch_batch < 1:
-            raise ValueError("dispatch_batch must be >= 1")
-        if steal_threshold < 0:
-            raise ValueError("steal_threshold must be >= 0")
         if job_timeout_s is not None and job_timeout_s <= 0:
             raise ValueError("job_timeout_s must be positive (or None)")
         self.job_timeout_s = job_timeout_s
         self.num_workers = num_workers
-        self.affinity_enabled = affinity
-        self.steal_threshold = steal_threshold
-        self.dispatch_batch = dispatch_batch
-        self.shm_min_bytes = shm_min_bytes
         self._llm_factory = llm_factory
         self._cache_entries = cache_entries
         self._start_method = start_method
@@ -536,7 +481,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self._method = None
         self._slots: list[_WorkerSlot] = []
         self._templates: dict[str, JobPayload] = {}
-        self._affinity: OrderedDict[str, tuple[int, int, str]] = OrderedDict()
         self._futures: dict[int, Future] = {}
         self._job_ids = itertools.count(1)
         #: Reply pipes of dead worker generations, drained to EOF by the
@@ -546,14 +490,12 @@ class ProcessPoolBackend(ExecutionBackend):
         self._wake_w = None
         self._threads: list[threading.Thread] = []
         self._lock = threading.Lock()
-        self._work = threading.Condition(self._lock)
         self._stop = threading.Event()
         self._started = False
         self._stopped = False
         self._proc_cache_stats: dict[int, dict] = {}
         self._counts = {
-            "hits": 0, "misses": 0, "steals": 0, "respawns": 0,
-            "batches": 0, "dispatched": 0,
+            "respawns": 0, "dispatched": 0,
             "shm_results": 0, "shm_bytes": 0, "inline_results": 0,
             "deadline_kills": 0,
         }
@@ -589,7 +531,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self._threads = [
             threading.Thread(target=loop, name=f"arachnet-plane-{label}", daemon=True)
             for label, loop in (
-                ("sender", self._sender_loop),
                 ("collector", self._collector_loop),
                 ("monitor", self._monitor_loop),
             )
@@ -601,8 +542,8 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def _prepare_slot(self, slot: _WorkerSlot) -> None:
         """Reset a slot for a fresh process (callers hold the lock after
-        start).  Dispatch keeps working immediately: rows queued against the
-        new request queue wait in its pipe until the process comes up.  The
+        start).  Dispatch keeps working immediately: jobs sent to the new
+        request queue wait in its pipe until the process comes up.  The
         old generation's reply pipe is retired, not dropped — the collector
         drains it to EOF so results that raced the death are released."""
         slot.request_q = self._ctx.SimpleQueue()
@@ -624,8 +565,7 @@ class ProcessPoolBackend(ExecutionBackend):
             )
         process = self._ctx.Process(
             target=_worker_main,
-            args=(slot.index, slot.request_q, slot.reply_w, self.shm_min_bytes,
-                  close_fds),
+            args=(slot.index, slot.request_q, slot.reply_w, close_fds),
             name=f"arachnet-worker-{slot.index}",
             daemon=True,
         )
@@ -643,9 +583,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 return
             self._stopped = True
             self._stop.set()
-            self._work.notify_all()
-        sender, collector, monitor = self._threads
-        sender.join(timeout=5)
+        collector, monitor = self._threads
         for slot in self._slots:
             slot.request_q.put(("stop",))
         if not wait:
@@ -684,79 +622,48 @@ class ProcessPoolBackend(ExecutionBackend):
         self._templates[shard.key] = self._template_for(shard)
 
     def forget(self, shard_key: str) -> None:
+        # Sent under the lock, like jobs, so a forget can never overtake a
+        # job (or a re-registered shard's template) bound for the same slot.
         with self._lock:
             self._templates.pop(shard_key, None)
-            stale = [k for k, (_, _, owner) in self._affinity.items()
-                     if owner == shard_key]
-            for key in stale:
-                del self._affinity[key]
-            slots = [
-                slot for slot in self._slots
-                if slot.request_q is not None and shard_key in slot.templates_sent
-            ]
-            for slot in slots:
-                slot.templates_sent.discard(shard_key)
-        for slot in slots:
-            slot.request_q.put(("forget", shard_key))
+            for slot in self._slots:
+                if slot.request_q is not None and shard_key in slot.templates_sent:
+                    slot.templates_sent.discard(shard_key)
+                    slot.request_q.put(("forget", shard_key))
 
     # -- dispatch ----------------------------------------------------------
 
-    def _affinity_key(self, shard: WorldShard, query: str,
-                      params: dict | None) -> str:
-        return affinity_key(shard, query, params)
-
-    def _choose_slot(self, key: str | None, shard_key: str,
-                     excluded: tuple[int, ...]) -> _WorkerSlot:
-        """Sticky slot for ``key``, stolen by an idle slot when the bound
-        one is backlogged; least-loaded assignment on first sight."""
-        eligible = [s for s in self._slots if s.index not in excluded]
-        if not eligible:  # excluding every slot would deadlock the retry
-            eligible = self._slots
-        if key is not None:
-            bound = self._affinity.get(key)
-            if bound is not None:
-                index, generation, _ = bound
-                slot = self._slots[index]
-                if slot.generation == generation and index not in excluded:
-                    idle = [s for s in eligible
-                            if s.index != index and s.depth() == 0]
-                    if slot.depth() > self.steal_threshold and idle:
-                        thief = idle[0]
-                        self._counts["steals"] += 1
-                        self._affinity[key] = (thief.index, thief.generation,
-                                               shard_key)
-                        self._affinity.move_to_end(key)
-                        return thief
-                    self._counts["hits"] += 1
-                    self._affinity.move_to_end(key)
-                    return slot
-        self._counts["misses"] += 1
-        slot = min(eligible, key=lambda s: (s.depth(), s.index))
-        if key is not None:
-            self._affinity[key] = (slot.index, slot.generation, shard_key)
-            self._affinity.move_to_end(key)
-            while len(self._affinity) > AFFINITY_MAP_BOUND:
-                self._affinity.popitem(last=False)
-        return slot
-
     def _dispatch(self, shard: WorldShard, query: str, params: dict | None,
                   excluded: tuple[int, ...] = (), trace=None) -> Future:
-        if not self._started or self._stopped:
-            raise BackendError("process backend is not started")
+        """Send one job to the least-loaded slot not in ``excluded``.
+
+        The send happens under the lock, so a slot's template always
+        reaches its worker ahead of the first job that needs it, and a
+        respawn can never interleave between choosing a slot and sending.
+        """
         if shard.key not in self._templates:
             self._templates[shard.key] = self._template_for(shard)
-        key = (
-            self._affinity_key(shard, query, params)
-            if self.affinity_enabled else None
-        )
         future = Future()
         with self._lock:
-            slot = self._choose_slot(key, shard.key, excluded)
+            if not self._started or self._stopped:
+                raise BackendError("process backend is not started")
+            # A retry that has excluded every slot runs anywhere, not nowhere.
+            eligible = ([s for s in self._slots if s.index not in excluded]
+                        or self._slots)
+            slot = min(eligible, key=lambda s: (len(s.inflight), s.index))
             job_id = next(self._job_ids)
+            template = (None if shard.key in slot.templates_sent
+                        else self._templates.get(shard.key))
+            slot.request_q.put(
+                ("job", template, (job_id, shard.key, query, params, trace)))
+            # Record only what actually shipped: a template missing here
+            # (shard forgotten mid-dispatch) must not poison the slot for a
+            # later re-registration of the shard.
+            if template is not None:
+                slot.templates_sent.add(shard.key)
             self._futures[job_id] = future
-            slot.pending.append((job_id, shard.key, query, params, trace))
+            slot.inflight[job_id] = time.monotonic()
             self._counts["dispatched"] += 1
-            self._work.notify_all()
         return future
 
     def run(
@@ -773,28 +680,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self._replay(result, observer)
         return result
 
-    def run_many(
-        self, items: list[tuple], excluded_workers: tuple[int, ...] = ()
-    ) -> list:
-        """Dispatch the whole batch before waiting on any of it — one
-        claiming thread keeps every worker process busy, and same-slot
-        items coalesce into single queue messages."""
-        futures = [
-            self._dispatch(item[0], item[1], item[2], excluded_workers,
-                           trace=(item[4] if len(item) > 4 else None))
-            for item in items
-        ]
-        outcomes = []
-        for future, item in zip(futures, items):
-            observer = item[3]
-            try:
-                result = future.result()
-                self._replay(result, observer)
-                outcomes.append(result)
-            except Exception as exc:
-                outcomes.append(exc)
-        return outcomes
-
     @staticmethod
     def _replay(result: PipelineResult, observer) -> None:
         if observer is not None:
@@ -805,38 +690,6 @@ class ProcessPoolBackend(ExecutionBackend):
                 observer(trace)
 
     # -- plane threads -----------------------------------------------------
-
-    def _sender_loop(self) -> None:
-        while True:
-            sends = []
-            with self._work:
-                while not self._stop.is_set() and not any(
-                    slot.pending for slot in self._slots
-                ):
-                    self._work.wait(0.1)
-                if self._stop.is_set():
-                    return
-                for slot in self._slots:
-                    if not slot.pending:
-                        continue
-                    rows = [
-                        slot.pending.popleft()
-                        for _ in range(min(len(slot.pending), self.dispatch_batch))
-                    ]
-                    needed = {row[1] for row in rows} - slot.templates_sent
-                    templates = {k: self._templates[k] for k in needed
-                                 if k in self._templates}
-                    # Record only what actually ships: a template missing
-                    # here (shard forgotten mid-dispatch) must not poison
-                    # the slot for a later re-registration of the shard.
-                    slot.templates_sent |= set(templates)
-                    now = time.monotonic()
-                    for row in rows:
-                        slot.inflight[row[0]] = now
-                    self._counts["batches"] += 1
-                    sends.append((slot.request_q, ("batch", templates, rows)))
-            for queue, message in sends:
-                queue.put(message)
 
     def _wake_collector(self) -> None:
         try:
@@ -931,47 +784,43 @@ class ProcessPoolBackend(ExecutionBackend):
             with self._lock:
                 self._proc_cache_stats.setdefault(message[2], None)
             return
-        _, index, rows = message  # ("done", slot index, result rows)
-        slot = self._slots[index]
-        for job_id, ok, blob, meta in rows:
-            if meta is not None and self.flight is not None:
-                # Reply metadata doubles as the worker's liveness signal.
-                self.flight.heartbeat(f"worker-{index}", pid=meta["pid"])
+        _, index, (job_id, ok, blob, meta) = message  # ("done", slot, row)
+        if meta is not None and self.flight is not None:
+            # Reply metadata doubles as the worker's liveness signal.
+            self.flight.heartbeat(f"worker-{index}", pid=meta["pid"])
+        if meta is not None:
+            # Absorb worker-side observability before the future resolves,
+            # so a caller that wakes on the result already sees its spans.
+            spans = meta.get("spans")
+            if spans:
+                self.tracer.ingest(spans)
+            deltas = meta.get("metrics")
+            if deltas and self.metrics is not None:
+                self.metrics.absorb(deltas)
+        with self._lock:
+            self._slots[index].inflight.pop(job_id, None)
+            future = self._futures.pop(job_id, None)
             if meta is not None:
-                # Absorb worker-side observability before the future resolves,
-                # so a caller that wakes on the result already sees its spans.
-                spans = meta.get("spans")
-                if spans:
-                    self.tracer.ingest(spans)
-                deltas = meta.get("metrics")
-                if deltas and self.metrics is not None:
-                    self.metrics.absorb(deltas)
-            with self._lock:
-                slot.inflight.pop(job_id, None)
-                future = self._futures.pop(job_id, None)
-                if meta is not None:
-                    self._proc_cache_stats[meta["pid"]] = meta["cache"]
-                if ok:
-                    if blob[0] == "shm":
-                        self._counts["shm_results"] += 1
-                        self._counts["shm_bytes"] += (
-                            blob[2] + sum(blob[3])
-                        )
-                    else:
-                        self._counts["inline_results"] += 1
-            if future is None:
-                if ok:  # nobody will decode it; reclaim the segment
-                    transport.release(blob)
-                continue
+                self._proc_cache_stats[meta["pid"]] = meta["cache"]
             if ok:
-                try:
-                    future.set_result(transport.decode(blob))
-                except Exception as exc:  # pragma: no cover - defensive
-                    future.set_exception(BackendError(
-                        f"failed to decode worker result: {exc}"
-                    ))
-            else:
-                future.set_exception(_decode_exception(blob))
+                if blob[0] == "shm":
+                    self._counts["shm_results"] += 1
+                    self._counts["shm_bytes"] += blob[2] + sum(blob[3])
+                else:
+                    self._counts["inline_results"] += 1
+        if future is None:
+            if ok:  # nobody will decode it; reclaim the segment
+                transport.release(blob)
+            return
+        if ok:
+            try:
+                future.set_result(transport.decode(blob))
+            except Exception as exc:  # pragma: no cover - defensive
+                future.set_exception(BackendError(
+                    f"failed to decode worker result: {exc}"
+                ))
+        else:
+            future.set_exception(_decode_exception(blob))
 
     def _enforce_deadlines(self) -> None:
         """The monitor plane's per-job deadline sweep.
@@ -1043,8 +892,8 @@ class ProcessPoolBackend(ExecutionBackend):
                         continue
                     if slot.process.is_alive():  # pragma: no cover - raced
                         continue
-                    # In-flight jobs died with the process; pending (unsent)
-                    # rows survive in the slot and reach the replacement.
+                    # Every job sent to the dead process died with it,
+                    # including any still waiting in its request queue.
                     for job_id in sorted(slot.inflight):
                         future = self._futures.pop(job_id, None)
                         if future is not None:
@@ -1053,7 +902,6 @@ class ProcessPoolBackend(ExecutionBackend):
                     slot.generation += 1
                     self._counts["respawns"] += 1
                     self._prepare_slot(slot)
-                    self._work.notify_all()
                 # Fork outside the lock so process creation never stalls
                 # dispatch/collection.  Forking here, after threads exist,
                 # mirrors multiprocessing.Pool's own worker repopulation:
@@ -1079,13 +927,12 @@ class ProcessPoolBackend(ExecutionBackend):
     # -- introspection -----------------------------------------------------
 
     def stats(self) -> dict:
-        """Affinity economics, dispatch batching, transport mix, and
-        aggregated per-process artifact-cache stats (last seen per pid)."""
+        """Worker respawns, dispatch and transport mix, and aggregated
+        per-process artifact-cache stats (last seen per pid)."""
         with self._lock:
             counts = dict(self._counts)
             snapshots = [s for s in self._proc_cache_stats.values() if s]
             processes = len(self._proc_cache_stats)
-            bindings = len(self._affinity)
         merged = None
         if snapshots:
             merged = {
@@ -1096,28 +943,14 @@ class ProcessPoolBackend(ExecutionBackend):
             }
             total = merged["hits"] + merged["misses"]
             merged["hit_rate"] = merged["hits"] / total if total else 0.0
-        routed = counts["hits"] + counts["misses"] + counts["steals"]
         return {
             "backend": self.name,
             "workers": self.num_workers,
             "processes": processes,
             "cache": merged,
-            "affinity": {
-                "enabled": self.affinity_enabled,
-                "hits": counts["hits"],
-                "misses": counts["misses"],
-                "steals": counts["steals"],
-                "hit_rate": counts["hits"] / routed if routed else 0.0,
-                "bindings": bindings,
-                "respawns": counts["respawns"],
-            },
+            "respawns": counts["respawns"],
             "dispatch": {
                 "jobs": counts["dispatched"],
-                "batches": counts["batches"],
-                "mean_batch": (
-                    counts["dispatched"] / counts["batches"]
-                    if counts["batches"] else 0.0
-                ),
                 "shm_results": counts["shm_results"],
                 "shm_bytes": counts["shm_bytes"],
                 "inline_results": counts["inline_results"],
@@ -1170,10 +1003,6 @@ def build_backend(
     num_workers: int = 4,
     llm_factory=None,
     cache_entries: int = 4096,
-    affinity: bool = True,
-    steal_threshold: int = 2,
-    dispatch_batch: int = 8,
-    shm_min_bytes: int = transport.DEFAULT_SHM_MIN_BYTES,
     job_timeout_s: float | None = None,
 ) -> ExecutionBackend:
     """Backend factory for :class:`ServeConfig.backend` names.
@@ -1188,10 +1017,6 @@ def build_backend(
             num_workers=num_workers,
             llm_factory=llm_factory,
             cache_entries=cache_entries,
-            affinity=affinity,
-            steal_threshold=steal_threshold,
-            dispatch_batch=dispatch_batch,
-            shm_min_bytes=shm_min_bytes,
             job_timeout_s=job_timeout_s,
         )
     raise BackendError(f"unknown backend {name!r}; expected one of {BACKEND_NAMES}")

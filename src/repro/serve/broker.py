@@ -21,7 +21,7 @@ from typing import Callable
 from repro.core.artifacts import PipelineResult
 from repro.core.registry import Registry
 from repro.obs import FlightRecorder, MetricsRegistry, Tracer, resolve_tracer
-from repro.serve.backends import WorkerCrashed, affinity_key, build_backend
+from repro.serve.backends import WorkerCrashed, build_backend, job_key
 from repro.serve.cache import ArtifactCache
 from repro.serve.journal import DeadLetterQueue, JournalState, WriteAheadJournal
 from repro.serve.provenance import ProvenanceLedger
@@ -62,19 +62,6 @@ class ServeConfig:
     backend: str = "thread"
     cache_enabled: bool = True
     max_cache_entries: int = 4096
-    #: Sticky affinity routing for the process backend: resubmissions of a
-    #: (world, query) pair land on the worker process whose caches already
-    #: hold it warm.  Disable to spread purely by load.
-    affinity: bool = True
-    #: Queue depth on a job's bound worker beyond which an idle worker
-    #: steals the job (and its affinity binding) instead of waiting.
-    steal_threshold: int = 2
-    #: Jobs a claimer thread batches into one backend dispatch (process
-    #: backend only; the thread backend runs one job per claimer).
-    dispatch_batch: int = 8
-    #: Results at or above this many pickled bytes move through
-    #: multiprocessing.shared_memory instead of the reply pipe.
-    shm_min_bytes: int = 64 * 1024
     curate: bool = False  # registry evolution is opt-in while serving
     #: Finished jobs (and their ledger entries) beyond this bound are pruned
     #: oldest-first so a long-running broker cannot grow without limit.
@@ -149,8 +136,8 @@ class Job:
     error: str = ""
     done: threading.Event = field(default_factory=threading.Event, repr=False)
     trace_id: str = ""
-    #: Idempotency key (the affinity blake2b key) when the broker journals;
-    #: "" otherwise.
+    #: Idempotency key (:func:`~repro.serve.backends.job_key`) when the
+    #: broker journals; "" otherwise.
     key: str = ""
     #: True when the result was rematerialized from a journaled completion
     #: instead of running the pipeline.
@@ -284,10 +271,6 @@ class QueryBroker:
             cache_entries=(
                 self.config.max_cache_entries if self.config.cache_enabled else 0
             ),
-            affinity=self.config.affinity,
-            steal_threshold=self.config.steal_threshold,
-            dispatch_batch=self.config.dispatch_batch,
-            shm_min_bytes=self.config.shm_min_bytes,
             job_timeout_s=self.config.job_timeout_s,
         )
         # The backend contributes to the same obs plane: it ingests
@@ -308,12 +291,6 @@ class QueryBroker:
             self._run_job,
             num_workers=self.config.workers,
             metrics=self.metrics,
-            batch_handler=self._run_jobs,
-            # Batched claiming only pays when the backend overlaps the batch
-            # across its own workers; a thread claimer runs jobs serially.
-            claim_batch=(
-                self.config.dispatch_batch if self.backend.supports_batch else 1
-            ),
             heartbeat=self.flight.heartbeat if self.flight is not None else None,
         )
         self._shards: dict[str, WorldShard] = {}
@@ -493,16 +470,20 @@ class QueryBroker:
         key = ""
         if self.journal is not None:
             # Exactly-once dedup: a journaled completion re-joins without
-            # running; a live in-flight twin shares its ticket.
-            key = affinity_key(shard, query, params)
-            replayed = self._replay_completed(key, query, params, priority,
-                                              world_key)
-            if replayed is not None:
-                return replayed
+            # running; a live in-flight twin shares its ticket.  Both maps
+            # are read in one hold because _settle moves a key from one to
+            # the other in one hold.
+            key = job_key(shard, query, params)
             with self._lock:
-                existing = self._key_tickets.get(key)
-                if existing is not None and existing in self._jobs:
-                    return existing
+                completion = self._completed.get(key)
+                twin = self._key_tickets.get(key)
+                if twin not in self._jobs:
+                    twin = None
+            if completion is not None and completion.get("status") == "done":
+                return self._replay_completed(completion, key, query, params,
+                                              priority, world_key)
+            if twin is not None:
+                return twin
         if self.deadletter.contains(world_key, query):
             # Circuit open: the signature goes straight to the dead-letter
             # queue instead of killing another worker.
@@ -563,15 +544,13 @@ class QueryBroker:
             raise BrokerError("broker is shut down; no new submissions") from None
         return ticket
 
-    def _replay_completed(self, key: str, query: str, params: dict | None,
-                          priority: int, world_key: str) -> str | None:
-        """Re-join a journaled completion: mint a ticket already settled
-        with the journaled digest and final output, byte-identical to the
-        run that produced it.  Failed completions return ``None`` — they
-        re-run fresh (that is the drain-and-retry path)."""
-        completion = self._completed.get(key)
-        if completion is None or completion.get("status") != "done":
-            return None
+    def _replay_completed(self, completion: dict, key: str, query: str,
+                          params: dict | None, priority: int,
+                          world_key: str) -> str:
+        """Re-join a journaled ``done`` completion: mint a ticket already
+        settled with the journaled digest and final output, byte-identical
+        to the run that produced it.  (Failed completions never come here —
+        they re-run fresh; that is the drain-and-retry path.)"""
         with self._lock:
             self._ticket_counter += 1
             ticket = f"job-{self._ticket_counter:06d}"
@@ -675,16 +654,11 @@ class QueryBroker:
 
     def _refresh_gauges(self, metrics: MetricsRegistry) -> None:
         """Scrape-time collector: project the hot paths' existing stats dicts
-        into registry gauges, so queue depth, affinity economics, transport
+        into registry gauges, so queue depth, worker respawns, transport
         volume and cache hit rates all answer from one place without the hot
         paths paying for a second accounting system."""
         backend = self.backend.stats()
-        affinity = backend.get("affinity") or {}
-        metrics.gauge("backend_affinity_hit_rate").set(
-            affinity.get("hit_rate", 0.0))
-        metrics.gauge("backend_affinity_hits").set(affinity.get("hits", 0))
-        metrics.gauge("backend_affinity_steals").set(affinity.get("steals", 0))
-        metrics.gauge("backend_respawns").set(affinity.get("respawns", 0))
+        metrics.gauge("backend_respawns").set(backend.get("respawns", 0))
         dispatch = backend.get("dispatch") or {}
         metrics.gauge("backend_shm_bytes").set(dispatch.get("shm_bytes", 0))
         metrics.gauge("backend_shm_results").set(dispatch.get("shm_results", 0))
@@ -754,107 +728,92 @@ class QueryBroker:
     # -- the worker-side job runner ---------------------------------------
 
     def _run_job(self, job: Job, worker_name: str) -> None:
-        self._run_jobs([job], worker_name)
+        """Run one claimed job through the backend and settle it.
 
-    def _run_jobs(self, jobs: list[Job], worker_name: str) -> None:
-        """Run a claimed batch through the backend and settle every job.
-
-        The whole batch is dispatched before any result is awaited (see
-        ``ExecutionBackend.run_many``), so one claimer thread keeps a
-        process pool saturated.  A job whose worker process died in flight
-        is resubmitted exactly once, excluding the failed worker's affinity
-        slot, before being marked FAILED.
+        A job whose worker process died in flight is retried up to
+        ``max_retries`` times, each retry excluding every worker slot that
+        already died on it, before being marked FAILED.
         """
-        claimed: list[Job] = []
-        items = []
-        dspans = []
-        for job in jobs:
-            with self._lock:
-                if job.state is not JobState.QUEUED:
-                    continue  # cancelled while queued; the canceller settled it
-                job.state = JobState.RUNNING
-            if job.queue_span is not None:
-                job.queue_span.end()
-            dspan = self.tracer.start_span(
-                "dispatch", parent=job.root_span, cat="serve",
-                backend=self.backend.name, worker=worker_name,
-            ) if self.tracer.enabled else None
-            try:
-                provenance = self.ledger.get(job.ticket)
-                self.ledger.mark_started(job.ticket, worker_name)
-                if self.journal is not None and job.key:
-                    # Claims are flushed but not fsync'd: they only enrich
-                    # recovered provenance, never gate resumption, so the
-                    # hot path skips the per-job disk round-trip.
-                    self.journal.append("claim", {"ticket": job.ticket,
-                                                  "worker": worker_name},
-                                        sync=False)
-                items.append((self.shard(job.world_key), job.query, job.params,
-                              provenance.observer(),
-                              dspan.context if dspan is not None else None))
-            except Exception as exc:
-                # E.g. the world was removed after submit validated it; the
-                # job must still settle or waiters hang and the claimer dies.
-                if dspan is not None:
-                    dspan.annotate(error=str(exc)).end()
-                self._settle(job, exc)
-                continue
-            claimed.append(job)
-            dspans.append(dspan)
-        if not claimed:
+        with self._lock:
+            if job.state is not JobState.QUEUED:
+                return  # cancelled while queued; the canceller settled it
+            job.state = JobState.RUNNING
+        if job.queue_span is not None:
+            job.queue_span.end()
+        dspan = self.tracer.start_span(
+            "dispatch", parent=job.root_span, cat="serve",
+            backend=self.backend.name, worker=worker_name,
+        ) if self.tracer.enabled else None
+        try:
+            observer = self.ledger.get(job.ticket).observer()
+            self.ledger.mark_started(job.ticket, worker_name)
+            if self.journal is not None and job.key:
+                # Claims are flushed but not fsync'd: they only enrich
+                # recovered provenance, never gate resumption, so the hot
+                # path skips the per-job disk round-trip.
+                self.journal.append("claim", {"ticket": job.ticket,
+                                              "worker": worker_name},
+                                    sync=False)
+            shard = self.shard(job.world_key)
+        except Exception as exc:
+            # E.g. the world was removed after submit validated it; the job
+            # must still settle or waiters hang and the claimer dies.
+            if dspan is not None:
+                dspan.annotate(error=str(exc)).end()
+            self._settle(job, exc)
             return
-        outcomes = self.backend.run_many(items)
+        trace = dspan.context if dspan is not None else None
+
+        def attempt(excluded: tuple[int, ...] = ()):
+            try:
+                return self.backend.run(shard, job.query, job.params,
+                                        observer=observer,
+                                        excluded_workers=excluded, trace=trace)
+            except Exception as exc:
+                return exc
+
+        outcome = attempt()
         excluded: set[int] = set()
         backoff_s = self.config.retry_backoff_base_s
         for _attempt in range(max(0, self.config.max_retries)):
-            crashed = [i for i, out in enumerate(outcomes)
-                       if isinstance(out, WorkerCrashed)]
-            if not crashed:
+            if not isinstance(outcome, WorkerCrashed):
                 break
             # Every crash is one worker death charged to the job's
             # (world, query) signature; a signature over the crash-loop
             # threshold is quarantined instead of retried.
-            excluded |= {outcomes[i].worker_index for i in crashed}
-            retriable: list[int] = []
-            for index in crashed:
-                if self._record_crash(claimed[index],
-                                      outcomes[index].worker_index):
-                    retriable.append(index)
-                else:
-                    outcomes[index] = PoisonJobQuarantined(
-                        f"{claimed[index].query!r} on world "
-                        f"{claimed[index].world_key!r} exceeded the "
-                        f"crash-loop threshold "
-                        f"({self.config.crash_loop_threshold} worker deaths)"
-                    )
-            for index in retriable:
-                self.ledger.mark_retried(claimed[index].ticket)
+            excluded.add(outcome.worker_index)
+            retriable = self._record_crash(job, outcome.worker_index)
+            if retriable:
+                self.ledger.mark_retried(job.ticket)
                 self.metrics.counter("broker_job_retries_total").inc()
-                if self.journal is not None and claimed[index].key:
-                    self.journal.append(
-                        "retry", {"ticket": claimed[index].ticket},
-                        sync=False)
-                if dspans[index] is not None:
-                    dspans[index].annotate(retried=True)
+                if self.journal is not None and job.key:
+                    self.journal.append("retry", {"ticket": job.ticket},
+                                        sync=False)
+                if dspan is not None:
+                    dspan.annotate(retried=True)
+            else:
+                outcome = PoisonJobQuarantined(
+                    f"{job.query!r} on world {job.world_key!r} exceeded the "
+                    f"crash-loop threshold "
+                    f"({self.config.crash_loop_threshold} worker deaths)"
+                )
             if self.flight is not None:
                 # The black box saw the crash: dump before the retry runs,
                 # while the dead worker's last spans are still in the ring,
-                # and pin the postmortem to every retried ticket's ledger row.
-                tickets = [claimed[i].ticket for i in crashed]
+                # and pin the postmortem to the ticket's ledger row.
                 self.flight.record("worker_crashed", {
-                    "tickets": tickets,
+                    "tickets": [job.ticket],
                     "worker_slots": sorted(excluded),
                     "worker": worker_name,
                 })
                 dump_path = self.flight.dump("worker_crashed", extra={
-                    "tickets": tickets,
+                    "tickets": [job.ticket],
                     "worker_slots": sorted(excluded),
                 })
-                for ticket in tickets:
-                    try:
-                        self.ledger.get(ticket).flight_dump = dump_path
-                    except KeyError:
-                        pass
+                try:
+                    self.ledger.get(job.ticket).flight_dump = dump_path
+                except KeyError:
+                    pass
             if not retriable:
                 break
             if backoff_s > 0:
@@ -869,16 +828,10 @@ class QueryBroker:
                 )
                 time.sleep(delay)
                 backoff_s = delay
-            retried = self.backend.run_many(
-                [items[i] for i in retriable],
-                excluded_workers=tuple(excluded),
-            )
-            for index, outcome in zip(retriable, retried):
-                outcomes[index] = outcome
-        for job, outcome, dspan in zip(claimed, outcomes, dspans):
-            if dspan is not None:
-                dspan.end()
-            self._settle(job, outcome)
+            outcome = attempt(tuple(excluded))
+        if dspan is not None:
+            dspan.end()
+        self._settle(job, outcome)
 
     def _record_crash(self, job: Job, worker_index: int) -> bool:
         """Charge one worker death to the job's signature; ``True`` means
@@ -933,8 +886,6 @@ class QueryBroker:
             state_key = "failed"
         with self._lock:
             self._finished_total[state_key] += 1
-            if job.key:
-                self._key_tickets.pop(job.key, None)
         self.metrics.counter("broker_jobs_finished_total",
                              {"state": state_key}).inc()
         if self.journal is not None and job.key:
@@ -956,7 +907,11 @@ class QueryBroker:
                     completion["final"] = final
             record = self.journal.append("complete", completion)
             with self._lock:
+                # After the durable append and in one hold: a concurrent
+                # submit of the same job finds it live or completed, never
+                # neither (which would run it twice).
                 self._completed[job.key] = record
+                self._key_tickets.pop(job.key, None)
         self._close_spans(job, job.state.value)
         job.done.set()
         self._prune_finished()

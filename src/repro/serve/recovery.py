@@ -8,8 +8,9 @@ uses it to
 * reconstruct provenance ledger rows for every journaled completion, so
   ``ledger.summary()`` spans the crash;
 * seed its dedup index: resubmitting a journaled-complete job (same
-  idempotency key — the affinity blake2b key over world fingerprint,
-  query and params) joins the journaled artifact digest byte-identically
+  idempotency key — the :func:`~repro.serve.backends.job_key` blake2b key
+  over world fingerprint, query and params) joins the journaled artifact
+  digest byte-identically
   instead of re-running the pipeline, which is what makes a resumed
   campaign exactly-once at the campaign level;
 * requeue the journaled submissions that never completed (the crashed

@@ -138,23 +138,6 @@ class PriorityScheduler:
             self._cond.notify()
         self._pushed_counter.inc()
 
-    def _account_pop(self, neg_priority: int, shard: str, enqueued: float) -> None:
-        self._popped += 1
-        self._per_shard[shard] -= 1
-        priority = -neg_priority
-        self._queued_by_priority[priority] -= 1
-        if any(count and band < priority
-               for band, count in self._queued_by_priority.items()):
-            self._preemptions += 1
-        self._depth_gauge.set(len(self._heap))
-        hist = self._wait_hist.get(priority)
-        if hist is None:
-            hist = self._metrics.histogram(
-                "scheduler_queue_wait_seconds", {"band": str(priority)}
-            )
-            self._wait_hist[priority] = hist
-        hist.observe(max(0.0, time.time() - enqueued))
-
     def pop(self, timeout: float | None = None) -> Any | None:
         """Next job by priority then arrival; ``None`` on timeout or when the
         scheduler is closed and drained."""
@@ -165,23 +148,22 @@ class PriorityScheduler:
                 if not self._cond.wait(timeout):
                     return None
             neg_priority, _, shard, enqueued, item = heapq.heappop(self._heap)
-            self._account_pop(neg_priority, shard, enqueued)
+            self._popped += 1
+            self._per_shard[shard] -= 1
+            priority = -neg_priority
+            self._queued_by_priority[priority] -= 1
+            if any(count and band < priority
+                   for band, count in self._queued_by_priority.items()):
+                self._preemptions += 1
+            self._depth_gauge.set(len(self._heap))
+            hist = self._wait_hist.get(priority)
+            if hist is None:
+                hist = self._metrics.histogram(
+                    "scheduler_queue_wait_seconds", {"band": str(priority)}
+                )
+                self._wait_hist[priority] = hist
+            hist.observe(max(0.0, time.time() - enqueued))
             return item
-
-    def pop_batch(self, limit: int) -> list[Any]:
-        """Up to ``limit`` more jobs without blocking, in priority order.
-
-        Claimers use this after a successful :meth:`pop` to coalesce queued
-        work into one batched backend dispatch; an empty queue returns an
-        empty list immediately.
-        """
-        items: list[Any] = []
-        with self._cond:
-            while self._heap and len(items) < limit:
-                neg_priority, _, shard, enqueued, item = heapq.heappop(self._heap)
-                self._account_pop(neg_priority, shard, enqueued)
-                items.append(item)
-        return items
 
     def close(self) -> None:
         """Refuse new work and wake every blocked consumer."""

@@ -8,9 +8,10 @@ each side.  This module moves large payloads out of band instead:
 * the producer pickles with **protocol 5**, capturing any
   :class:`pickle.PickleBuffer` blocks (bytes/bytearray-backed artifact
   data) separately from the object graph;
-* when the total size crosses ``shm_min_bytes`` the body and buffers are
-  written once into a :class:`multiprocessing.shared_memory.SharedMemory`
-  segment and only the segment *name* travels through the queue;
+* when the total size reaches :data:`DEFAULT_SHM_MIN_BYTES` the body and
+  buffers are written once into a
+  :class:`multiprocessing.shared_memory.SharedMemory` segment and only the
+  segment *name* travels through the queue;
 * the consumer maps the segment and unpickles straight out of the mapping
   (``pickle.loads`` over memoryviews — the out-of-band buffers are never
   re-copied through a pipe), then closes and unlinks it.
@@ -38,6 +39,9 @@ SEGMENT_PREFIX = "an"
 
 #: Below this many bytes the pickle travels in-band through the queue —
 #: a pipe write is cheaper than a segment create/map/unlink round trip.
+#: Above it, shared memory keeps peak RSS down (see README, "Process
+#: backend").  Read at every :func:`encode` call, so tests patch it
+#: (before workers fork) to force either path.
 DEFAULT_SHM_MIN_BYTES = 64 * 1024
 
 _SEQ = itertools.count(1)
@@ -58,11 +62,10 @@ def _unregister_from_tracker(shm) -> None:
         pass
 
 
-def encode(obj, shm_min_bytes: int = DEFAULT_SHM_MIN_BYTES) -> tuple:
+def encode(obj) -> tuple:
     """Pickle ``obj`` (protocol 5, out-of-band buffers) into a queue-safe
     message: ``("inline", body, buffers)`` or ``("shm", name, body_len,
-    buffer_lens)``.  ``shm_min_bytes <= 0`` forces the shared-memory path
-    for every payload (used by lifecycle tests)."""
+    buffer_lens)``."""
     raw_buffers: list[pickle.PickleBuffer] = []
     body = pickle.dumps(obj, protocol=5, buffer_callback=raw_buffers.append)
     buffers = []
@@ -72,7 +75,7 @@ def encode(obj, shm_min_bytes: int = DEFAULT_SHM_MIN_BYTES) -> tuple:
         except BufferError:  # non-contiguous: fall back to a flat copy
             buffers.append(memoryview(bytes(buf)))
     total = len(body) + sum(len(b) * b.itemsize for b in buffers)
-    if shared_memory is None or (shm_min_bytes > 0 and total < shm_min_bytes):
+    if shared_memory is None or total < DEFAULT_SHM_MIN_BYTES:
         return ("inline", body, [bytes(b) for b in buffers])
     segment = shared_memory.SharedMemory(
         create=True, size=max(total, 1), name=f"{SEGMENT_PREFIX}-{os.getpid()}-{next(_SEQ)}"

@@ -1,13 +1,15 @@
 """The worker pool: N threads draining the scheduler.
 
 The threads are *claimers*, not necessarily where pipelines run: each one
-pops a job and hands it to the broker's :class:`ExecutionBackend` — the
+pops one job and hands it to the broker's :class:`ExecutionBackend` — the
 thread backend runs it in place (ideal when hosted-LLM round-trip latency
 dominates; threads overlap the waits and artifacts stay in shared memory),
 while the process backend blocks the thread on an out-of-process worker so
-CPU-bound generated code escapes the GIL.  Shutdown is graceful: in-flight
-jobs always run to completion, and ``drain=True`` additionally finishes
-everything already queued.
+CPU-bound generated code escapes the GIL.  A claimer takes its next job
+only when the last one settles, so a high-priority submission waits for a
+running job to finish, never behind queued low-priority ones.  Shutdown is
+graceful: in-flight jobs always run to completion, and ``drain=True``
+additionally finishes everything already queued.
 """
 
 from __future__ import annotations
@@ -23,22 +25,11 @@ from repro.serve.scheduler import PriorityScheduler
 #: handler's to record.
 JobHandler = Callable[[Any, str], None]
 
-#: ``batch_handler(items, worker_name)`` — same contract over a claimed batch.
-BatchHandler = Callable[[list, str], None]
-
 _POLL_INTERVAL_S = 0.05
 
 
 class WorkerPool:
-    """A ``ThreadPoolExecutor``-backed pool of scheduler consumers.
-
-    With ``claim_batch > 1`` and a ``batch_handler``, a claimer that pops a
-    job opportunistically drains up to ``claim_batch - 1`` more without
-    blocking and hands the whole batch over in one call — the process
-    backend fans a batch across every worker process at once, so one
-    claiming thread can keep the entire pool busy and same-worker jobs
-    coalesce into single IPC messages.
-    """
+    """A ``ThreadPoolExecutor``-backed pool of scheduler consumers."""
 
     def __init__(
         self,
@@ -46,25 +37,18 @@ class WorkerPool:
         handler: JobHandler,
         num_workers: int = 4,
         name: str = "arachnet-serve",
-        batch_handler: BatchHandler | None = None,
-        claim_batch: int = 1,
         metrics: MetricsRegistry | None = None,
         heartbeat: Callable[[str], None] | None = None,
     ):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if claim_batch < 1:
-            raise ValueError("claim_batch must be >= 1")
         metrics = metrics if metrics is not None else MetricsRegistry()
         self._claimed_counter = metrics.counter("workerpool_claimed_total")
-        self._batch_counter = metrics.counter("workerpool_claim_batches_total")
         self._scheduler = scheduler
         self._handler = handler
-        self._batch_handler = batch_handler
         #: ``heartbeat(worker_name)`` fires each claimer-loop iteration —
         #: the flight recorder's liveness signal for broker-side claimers.
         self._heartbeat = heartbeat
-        self.claim_batch = claim_batch
         self.num_workers = num_workers
         self._name = name
         self._stop = threading.Event()
@@ -129,18 +113,11 @@ class WorkerPool:
                 if self._should_exit() or self._scheduler.closed:
                     return
                 continue
-            items = [item]
-            if self._batch_handler is not None and self.claim_batch > 1:
-                items.extend(self._scheduler.pop_batch(self.claim_batch - 1))
-            self._claimed_counter.inc(len(items))
-            self._batch_counter.inc()
+            self._claimed_counter.inc()
             with self._active_lock:
-                self._active += len(items)
+                self._active += 1
             try:
-                if self._batch_handler is not None:
-                    self._batch_handler(items, worker_name)
-                else:
-                    self._handler(item, worker_name)
+                self._handler(item, worker_name)
             finally:
                 with self._active_lock:
-                    self._active -= len(items)
+                    self._active -= 1

@@ -1,5 +1,5 @@
-"""The affinity-aware zero-copy execution plane: transport lifecycle,
-sticky routing under steal, crash retry, and epoch-shard retention."""
+"""The process backend's execution plane: shared-memory transport
+lifecycle, warm worker caches, crash retry, and epoch-shard retention."""
 
 import os
 import time
@@ -8,14 +8,7 @@ import pytest
 
 from repro.live.clock import EpochState
 from repro.live.standing import StandingQuery, StandingQueryManager
-from repro.serve import (
-    BrokerError,
-    JobState,
-    ProcessPoolBackend,
-    QueryBroker,
-    ServeConfig,
-    WorldShard,
-)
+from repro.serve import BrokerError, JobState, QueryBroker, ServeConfig
 from repro.serve import transport
 from repro.serve.backends import FAULT_PARAM
 from repro.synth.world import WorldConfig, build_world
@@ -39,9 +32,15 @@ def _leaked_segments():
 # -- transport ---------------------------------------------------------------
 
 
+@pytest.fixture
+def force_shm(monkeypatch):
+    """Every payload, however small, takes the shared-memory path."""
+    monkeypatch.setattr(transport, "DEFAULT_SHM_MIN_BYTES", 0)
+
+
 def test_transport_inline_roundtrip():
     obj = {"rows": list(range(50)), "blob": b"x" * 64}
-    message = transport.encode(obj, shm_min_bytes=1 << 20)
+    message = transport.encode(obj)
     assert message[0] == "inline"
     assert transport.decode(message) == obj
 
@@ -50,7 +49,7 @@ def test_transport_shm_roundtrip_large_artifact():
     """A large artifact (out-of-band bytearray buffer) moves through one
     shared-memory segment and the decode consumes — unlinks — it."""
     obj = {"kind": "artifact", "payload": bytearray(b"\xab" * 300_000)}
-    message = transport.encode(obj, shm_min_bytes=0)  # force the shm path
+    message = transport.encode(obj)  # above the threshold: the shm path
     assert message[0] == "shm"
     assert not _leaked_segments() or message[1] in _leaked_segments()
     out = transport.decode(message)
@@ -61,8 +60,8 @@ def test_transport_shm_roundtrip_large_artifact():
         transport.decode(message)
 
 
-def test_transport_release_unlinks_undecoded_segment():
-    message = transport.encode({"x": bytes(200_000)}, shm_min_bytes=0)
+def test_transport_release_unlinks_undecoded_segment(force_shm):
+    message = transport.encode({"x": bytes(20)})
     assert message[0] == "shm"
     transport.release(message)
     assert message[1] not in _leaked_segments()
@@ -72,13 +71,14 @@ def test_transport_release_unlinks_undecoded_segment():
 # -- end-to-end shared-memory lifecycle --------------------------------------
 
 
-def test_campaign_over_shm_leaves_no_segments(world):
+def test_campaign_over_shm_leaves_no_segments(world, force_shm):
     """Every result forced through shared memory: byte-identical outcomes,
-    zero segments left after the campaign and after shutdown."""
+    zero segments left after the campaign and after shutdown.  The patched
+    threshold is in place before ``start`` forks the workers, which inherit
+    it."""
     queries = [QUERY.format(name) for name in world.cable_names()[:3]]
     broker = QueryBroker(
-        world,
-        config=ServeConfig(workers=2, backend="process", shm_min_bytes=1),
+        world, config=ServeConfig(workers=2, backend="process"),
     ).start()
     try:
         tickets = [broker.submit(q) for q in queries]
@@ -93,12 +93,13 @@ def test_campaign_over_shm_leaves_no_segments(world):
     assert _leaked_segments() == []
 
 
-# -- affinity routing --------------------------------------------------------
+# -- warm worker caches ------------------------------------------------------
 
 
 def test_affinity_resubmission_sticks_and_hits_warm_cache(world):
-    """Identical resubmissions route back to the bound worker: the second
-    round is 100% affinity hits and lands on warm process-local caches."""
+    """Identical resubmissions land on warm process-local caches: one at a
+    time, every job goes to the least-loaded slot, ties to the lowest
+    index, so the second round reaches the worker that ran the first."""
     queries = [QUERY.format(name) for name in world.cable_names()[:4]]
     broker = QueryBroker(
         world, config=ServeConfig(workers=2, backend="process")
@@ -106,74 +107,70 @@ def test_affinity_resubmission_sticks_and_hits_warm_cache(world):
     try:
         for q in queries:
             broker.result(broker.submit(q), timeout=120)
-        first = broker.stats()["backend"]["affinity"]
-        assert first["misses"] == len(queries) and first["hits"] == 0
+        first = broker.stats()["backend"]["cache"]
         for q in queries:
             broker.result(broker.submit(q), timeout=120)
-        second = broker.stats()["backend"]["affinity"]
-        assert second["hits"] - first["hits"] == len(queries)
         merged = broker.stats()["backend"]["cache"]
-        assert merged is not None and merged["hits"] > 0
+        assert merged is not None and merged["hits"] > first["hits"]
     finally:
         broker.shutdown()
 
 
-def test_affinity_disabled_never_binds(world):
+def test_priority_job_overtakes_queued_low_priority_jobs(world):
+    """A claimer takes one job at a time, so an urgent submission runs
+    next instead of waiting behind low-priority jobs already queued when
+    the running one was claimed."""
+    cables = world.cable_names()
     broker = QueryBroker(
-        world,
-        config=ServeConfig(workers=1, backend="process", affinity=False),
-    ).start()
+        world, config=ServeConfig(workers=1, backend="process")
+    )
+    # Queued before start: the claimer's first pop sees all six.
+    slow = broker.submit(QUERY.format(cables[0]),
+                         params={FAULT_PARAM: {"sleep_s": 1.0}})
+    low = [broker.submit(QUERY.format(cables[i])) for i in range(1, 6)]
+    broker.start()
     try:
-        query = QUERY.format(world.cable_names()[0])
-        broker.result(broker.submit(query), timeout=120)
-        broker.result(broker.submit(query), timeout=120)
-        affinity = broker.stats()["backend"]["affinity"]
-        assert not affinity["enabled"]
-        assert affinity["hits"] == 0 and affinity["bindings"] == 0
+        deadline = time.monotonic() + 60
+        while broker.status(slow) is JobState.QUEUED:
+            assert time.monotonic() < deadline, "the slow job never started"
+            time.sleep(0.01)
+        urgent = broker.submit(QUERY.format(cables[6]), priority=100)
+        finished = broker.wait_all([slow, urgent, *low], timeout=300)
+        assert all(job.state is JobState.DONE for job in finished)
+        finished_at = {t: broker.ledger.get(t).finished_at
+                       for t in [urgent, *low]}
+        assert finished_at[urgent] < max(finished_at[t] for t in low)
     finally:
         broker.shutdown()
-
-
-def test_steal_rebinds_hot_key_to_idle_worker(world):
-    """A key bound to a backlogged worker is stolen by an idle one, and the
-    binding (the future warm path) moves with it."""
-    backend = ProcessPoolBackend(num_workers=2, steal_threshold=0,
-                                 cache_entries=64)
-    shard = WorldShard.build("w", world)
-    backend.prepare(shard)
-    backend.start()
-    try:
-        query = QUERY.format(world.cable_names()[0])
-        backend.run(shard, query, None)  # binds the key to slot 0
-        key = backend._affinity_key(shard, query, None)
-        bound_before = backend._affinity[key][0]
-        # Occupy the bound slot with a deliberately slow job...
-        slow = backend._dispatch(
-            shard, QUERY.format(world.cable_names()[1]),
-            {FAULT_PARAM: {"sleep_s": 1.5}},
-        )
-        # ...so redispatching the bound key finds it backlogged and steals.
-        fast = backend._dispatch(shard, query, None)
-        assert fast.result().execution.succeeded
-        stats = backend.stats()["affinity"]
-        assert stats["steals"] == 1
-        bound_after = backend._affinity[key][0]
-        assert bound_after != bound_before
-        assert slow.result().execution.succeeded
-        # The stolen binding is sticky: the next dispatch is a hit on the thief.
-        assert backend.run(shard, query, None).execution.succeeded
-        assert backend._affinity[key][0] == bound_after
-        assert backend.stats()["affinity"]["hits"] >= 1
-    finally:
-        backend.shutdown()
 
 
 # -- crash retry -------------------------------------------------------------
 
 
+def test_kill_worker_moves_backend_respawns_gauge(world):
+    """The worker-crash SLO reads ``backend_respawns``; a killed worker
+    must show up there once the monitor respawns it."""
+    broker = QueryBroker(
+        world, config=ServeConfig(workers=1, backend="process")
+    ).start()
+    try:
+        gauge = broker.metrics.gauge("backend_respawns")
+        broker.metrics.collect()
+        assert gauge.value == 0
+        broker.backend.kill_worker(0)
+        deadline = time.monotonic() + 60
+        while broker.backend.stats()["respawns"] == 0:
+            assert time.monotonic() < deadline, "the worker was never respawned"
+            time.sleep(0.01)
+        broker.metrics.collect()
+        assert gauge.value == 1
+    finally:
+        broker.shutdown()
+
+
 def test_worker_death_retries_once_on_excluded_slot(world):
     """A job whose worker dies is resubmitted once, excluding the failed
-    affinity slot, and succeeds elsewhere with retries recorded."""
+    worker slot, and succeeds elsewhere with retries recorded."""
     broker = QueryBroker(
         world, config=ServeConfig(workers=2, backend="process")
     ).start()
@@ -186,7 +183,7 @@ def test_worker_death_retries_once_on_excluded_slot(world):
         job = broker.wait(ticket, timeout=120)
         assert job.state is JobState.DONE
         assert broker.ledger.get(ticket).retries == 1
-        assert broker.stats()["backend"]["affinity"]["respawns"] >= 1
+        assert broker.stats()["backend"]["respawns"] >= 1
         assert broker.ledger.summary()["retried"] == 1
     finally:
         broker.shutdown()
@@ -234,8 +231,8 @@ def test_remove_world_guards_and_forgets(world):
         broker.remove_world("spare")
         assert "spare" not in broker.world_keys()
         assert "spare" not in broker.backend._templates
-        assert all(owner != "spare"
-                   for _, _, owner in broker.backend._affinity.values())
+        assert all("spare" not in slot.templates_sent
+                   for slot in broker.backend._slots)
         with pytest.raises(BrokerError):
             broker.submit("q", world_key="spare")
     finally:

@@ -47,7 +47,7 @@ def test_kill_worker_mid_campaign_retries_once_and_settles(chaos_world):
     cables = chaos_world.cable_names()
     broker = QueryBroker(
         chaos_world,
-        config=ServeConfig(workers=2, backend="process", dispatch_batch=2),
+        config=ServeConfig(workers=2, backend="process"),
     ).start()
     try:
         tickets = [
@@ -55,7 +55,7 @@ def test_kill_worker_mid_campaign_retries_once_and_settles(chaos_world):
                           params=_slow_params(0.8))
             for i in range(4)
         ]
-        time.sleep(0.4)  # let the batch land in the workers' laps
+        time.sleep(0.4)  # let the jobs land in the workers' laps
         broker.backend.kill_worker(0)
         finished = broker.wait_all(tickets, timeout=300)
         assert all(job.state is JobState.DONE for job in finished), [
@@ -65,7 +65,7 @@ def test_kill_worker_mid_campaign_retries_once_and_settles(chaos_world):
         assert retried >= 1, "the killed worker's in-flight jobs must retry"
         assert all(broker.ledger.get(t).retries <= 1 for t in tickets)
         stats = broker.stats()["backend"]
-        assert stats["affinity"]["respawns"] >= 1
+        assert stats["respawns"] >= 1
     finally:
         broker.shutdown()
     assert _leaked_segments() == []
@@ -80,7 +80,7 @@ def test_seeded_random_kills_never_hang_the_broker(chaos_world):
     broker = QueryBroker(
         chaos_world,
         config=ServeConfig(workers=2, backend="process",
-                           cache_enabled=False, dispatch_batch=2),
+                           cache_enabled=False),
     ).start()
     try:
         for round_no in range(2):
@@ -119,7 +119,7 @@ def test_kill_both_workers_sequentially_pool_recovers(chaos_world):
             job = broker.wait(ticket, timeout=300)
             assert job.state is JobState.DONE, job.error
         stats = broker.stats()["backend"]
-        assert stats["affinity"]["respawns"] >= 2
+        assert stats["respawns"] >= 2
         alive = [slot.process.is_alive() for slot in broker.backend._slots]
         assert all(alive)
     finally:
@@ -302,8 +302,7 @@ def test_crash_loop_trips_breaker_into_journaled_deadletter(chaos_world,
     wal = str(tmp_path / "wal")
     broker = QueryBroker(
         chaos_world,
-        config=ServeConfig(workers=2, backend="process", dispatch_batch=1,
-                           journal_dir=wal),
+        config=ServeConfig(workers=2, backend="process", journal_dir=wal),
     ).start()
     try:
         # Distinct params so the journal's in-flight dedup doesn't collapse
@@ -321,7 +320,7 @@ def test_crash_loop_trips_breaker_into_journaled_deadletter(chaos_world,
             "the crash loop never tripped the circuit breaker"
         )
         assert broker.deadletter.contains("default", "poison probe")
-        respawns_first_run = broker.stats()["backend"]["affinity"]["respawns"]
+        respawns_first_run = broker.stats()["backend"]["respawns"]
     finally:
         broker.shutdown()
     # Restart on the same journal: the circuit is still open, so the same
@@ -333,7 +332,7 @@ def test_crash_loop_trips_breaker_into_journaled_deadletter(chaos_world,
     try:
         job = broker.wait(broker.submit("poison probe"), timeout=60)
         assert job.state is JobState.QUARANTINED
-        assert broker.stats()["backend"]["affinity"]["respawns"] == 0, (
+        assert broker.stats()["backend"]["respawns"] == 0, (
             "a quarantined signature killed a worker after restart"
         )
         assert respawns_first_run >= 3  # the deaths that tripped the breaker
@@ -356,7 +355,7 @@ def test_sigkill_leaves_a_flight_dump_with_last_spans(chaos_world, tmp_path):
     cables = chaos_world.cable_names()
     broker = QueryBroker(
         chaos_world,
-        config=ServeConfig(workers=2, backend="process", dispatch_batch=2,
+        config=ServeConfig(workers=2, backend="process",
                            tracing=True, flight=True, flight_dir=dump_dir),
     ).start()
     try:

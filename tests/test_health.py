@@ -479,7 +479,7 @@ def test_live_healthz_flips_on_induced_crash_loop(small_world, tmp_path):
     broker = QueryBroker(
         small_world,
         config=ServeConfig(workers=2, backend="process", cache_enabled=False,
-                           dispatch_batch=1, flight=True,
+                           flight=True,
                            flight_dir=str(tmp_path)),
     ).start()
     # Short windows so the breach is observable seconds after the crashes,

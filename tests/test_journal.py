@@ -301,15 +301,63 @@ def test_campaign_resume_replays_completions_byte_identically(
         broker.shutdown()
 
 
+def test_submit_during_completion_append_joins_instead_of_rerunning(
+        world, tmp_path):
+    """A resubmission that lands while the first run's ``complete`` record
+    is being appended must join that run: the key stays live until the
+    completion is recorded, so the job executes and completes once."""
+    broker = QueryBroker(world, config=ServeConfig(
+        workers=1, journal_dir=str(tmp_path / "wal"))).start()
+    append = broker.journal.append
+    appended, racing = [], []
+
+    def append_racing_a_resubmit(kind, payload, **kwargs):
+        if kind == "complete" and not racing:
+            racing.append(broker.submit(CS1))
+        appended.append((kind, payload))
+        return append(kind, payload, **kwargs)
+
+    broker.journal.append = append_racing_a_resubmit
+    try:
+        first = broker.submit(CS1)
+        assert broker.wait(first, timeout=120).state is JobState.DONE
+        assert broker.wait(racing[0], timeout=120).state is JobState.DONE
+    finally:
+        broker.shutdown()
+    assert [kind for kind, _ in appended].count("claim") == 1
+    assert [p["status"] for kind, p in appended if kind == "complete"] == ["done"]
+
+
+def test_job_key_material_is_pinned(world):
+    """Journals written by earlier versions must re-join, so the key stays
+    blake2b-128 over NUL-joined shard key, world fingerprint, query text
+    and sort-keyed JSON params."""
+    import hashlib
+
+    from repro.serve import job_key
+
+    shard = QueryBroker(world).shard()
+    params = {"window_days": 3, "corridor": "europe->asia"}
+    material = "\x00".join((
+        "default", world.fingerprint(), CS1,
+        '{"corridor": "europe->asia", "window_days": 3}',
+    ))
+    assert job_key(shard, CS1, params) == hashlib.blake2b(
+        material.encode("utf-8"), digest_size=16).hexdigest()
+    assert job_key(shard, CS1, None) == hashlib.blake2b(
+        "\x00".join(("default", world.fingerprint(), CS1, "")).encode("utf-8"),
+        digest_size=16).hexdigest()
+
+
 def test_unfinished_submissions_resume_on_start(world, tmp_path):
     wal = str(tmp_path / "wal")
     # Forge a crashed run: a journaled submission with no completion.
     with WriteAheadJournal(wal) as journal:
-        from repro.serve import affinity_key
+        from repro.serve import job_key
 
         config = ServeConfig(workers=1, journal_dir=wal)
         probe = QueryBroker(world, config=config)
-        key = affinity_key(probe.shard(), CS1, None)
+        key = job_key(probe.shard(), CS1, None)
         probe.shutdown()
         journal.append("submit", {"ticket": "job-000007", "key": key,
                                   "query": CS1, "params": None,
@@ -331,9 +379,9 @@ def test_failed_completion_reruns_fresh(world, tmp_path):
     wal = str(tmp_path / "wal")
     config = ServeConfig(workers=1, journal_dir=wal)
     probe = QueryBroker(world, config=config)
-    from repro.serve import affinity_key
+    from repro.serve import job_key
 
-    key = affinity_key(probe.shard(), CS1, None)
+    key = job_key(probe.shard(), CS1, None)
     probe.shutdown()
     with WriteAheadJournal(wal) as journal:
         journal.append("submit", {"ticket": "job-000001", "key": key,

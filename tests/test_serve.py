@@ -146,15 +146,6 @@ def test_scheduler_counts_preemptions():
     assert scheduler.stats()["preemptions"] == 1
 
 
-def test_scheduler_pop_batch_counts_preemptions():
-    scheduler = PriorityScheduler()
-    scheduler.push("low", priority=0)
-    scheduler.push("hi-1", priority=5)
-    scheduler.push("hi-2", priority=5)
-    assert scheduler.pop_batch(2) == ["hi-1", "hi-2"]
-    assert scheduler.stats()["preemptions"] == 2
-
-
 # -- worker pool ------------------------------------------------------------
 
 
