@@ -488,6 +488,16 @@ def test_live_replay_multi_event_one_case_per_incident(world):
     for case in report.forensic_cases:
         assert case["expected_cables"]
         assert case["alert_latency_epochs"] >= 0
+    # Golden pins: the replay's answers, not just their agreement.
+    assert sorted(
+        (c["event_id"], c["verdict"], c["artifact_digest"])
+        for c in report.forensic_cases
+    ) == [
+        ("eq-izmit-2026", "confirmed",
+         "cff758013c55236d531c2867609881c3422f341bc2563a3b3b86586e520bb316"),
+        ("eq-taiwan-2026", "confirmed",
+         "056bf50ff81818d1bbef2daa6a4f124596073105b3f0f2ccabbeb2ea3e784f63"),
+    ]
 
 
 # -- CLI ---------------------------------------------------------------------
