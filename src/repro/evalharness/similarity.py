@@ -7,7 +7,7 @@ paper's "produces similar impact metrics".
 
 from __future__ import annotations
 
-from scipy import stats
+from repro.analysis.stats import spearman
 
 
 def _as_score_map(ranking: list[dict], key: str, score_key: str) -> dict[str, float]:
@@ -34,20 +34,17 @@ def ranking_similarity(
             "common_keys": len(common),
             "key_jaccard": round(len(common) / len(union), 4) if union else 1.0,
             "spearman": None,
-            "p_value": None,
         }
     values_a = [map_a[k] for k in common]
     values_b = [map_b[k] for k in common]
     if len(set(values_a)) == 1 or len(set(values_b)) == 1:
-        rho, p_value = 0.0, 1.0
+        rho = 0.0
     else:
-        result = stats.spearmanr(values_a, values_b)
-        rho, p_value = float(result.statistic), float(result.pvalue)
+        rho = spearman(values_a, values_b)
     return {
         "common_keys": len(common),
         "key_jaccard": round(len(common) / len(union), 4) if union else 1.0,
         "spearman": round(rho, 4),
-        "p_value": p_value,
     }
 
 

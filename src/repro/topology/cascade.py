@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
-from repro.topology.relations import ASGraph, failed_as_pairs
+from repro.topology.relations import ASGraph, failed_as_pairs, isolated_asns
 from repro.topology.routing import ValleyFreeRouter
 from repro.synth.world import SyntheticWorld
 
@@ -86,19 +84,6 @@ class CascadeResult:
             "final_isolated_asns": list(self.final_isolated_asns),
             "timeline": self.timeline(),
         }
-
-
-def _isolated(world: SyntheticWorld, failed: set[str]) -> list[int]:
-    graph = nx.Graph()
-    graph.add_nodes_from(world.ases.keys())
-    for link in world.ip_links:
-        if link.id not in failed:
-            graph.add_edge(link.asn_a, link.asn_b)
-    components = sorted(nx.connected_components(graph), key=len, reverse=True)
-    if not components:
-        return []
-    giant = components[0]
-    return sorted(asn for asn in world.ases if asn not in giant)
 
 
 def propagate_cascade(
@@ -174,7 +159,7 @@ def propagate_cascade(
         )
         rnd.overloaded_link_ids = overloaded
         rnd.severed_as_pairs = sorted(failed_as_pairs(world, sorted(failed | set(overloaded))))
-        isolated_now = set(_isolated(world, failed | set(overloaded)))
+        isolated_now = set(isolated_asns(world, failed | set(overloaded)))
         rnd.isolated_asns = sorted(isolated_now - prev_isolated)
         prev_isolated |= isolated_now
         result.rounds.append(rnd)

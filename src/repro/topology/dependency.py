@@ -1,14 +1,11 @@
-"""Dependency graphs: who depends on whom, at the AS and cable layers.
+"""Dependencies: who depends on whom, at the AS and cable layers.
 
 ``as_dependency_scores`` is an AS-hegemony-style metric: the fraction of all
-policy paths that transit an AS.  ``build_cable_dependency_graph`` links the
-physical and logical layers — which ASes ride which cables — and feeds the
-cascade analysis in case study 3.
+policy paths that transit an AS.  ``shared_cable_ases`` links the physical
+and logical layers: the ASes that ride several of a set of cables.
 """
 
 from __future__ import annotations
-
-import networkx as nx
 
 from repro.topology.relations import ASGraph
 from repro.topology.routing import ValleyFreeRouter
@@ -39,63 +36,6 @@ def as_dependency_scores(world: SyntheticWorld, sample_sources: int | None = Non
     if total_paths == 0:
         return {asn: 0.0 for asn in graph.all_asns}
     return {asn: count / total_paths for asn, count in transit_counts.items()}
-
-
-def build_as_dependency_graph(world: SyntheticWorld, sample_sources: int | None = None) -> nx.DiGraph:
-    """Directed dependency graph: edge a→b when a's paths transit b.
-
-    Edge weight is the fraction of a's reachable destinations whose path
-    crosses b.  Used by cascade analysis to find which ASes inherit load
-    when infrastructure under them fails.
-    """
-    graph = ASGraph.from_world(world)
-    router = ValleyFreeRouter(graph)
-    digraph = nx.DiGraph()
-    digraph.add_nodes_from(graph.all_asns)
-    sources = sorted(graph.all_asns)
-    if sample_sources is not None:
-        sources = sources[:sample_sources]
-    for src in sources:
-        paths = router.paths_from(src)
-        reachable = max(1, len(paths) - 1)
-        transit_count: dict[int, int] = {}
-        for dst, path in paths.items():
-            if dst == src:
-                continue
-            for asn in path[1:-1]:
-                transit_count[asn] = transit_count.get(asn, 0) + 1
-        for asn, count in transit_count.items():
-            digraph.add_edge(src, asn, weight=count / reachable)
-    return digraph
-
-
-def build_cable_dependency_graph(
-    world: SyntheticWorld, mappings: dict | None = None
-) -> nx.Graph:
-    """Bipartite cable↔AS graph weighted by link count.
-
-    Nodes are ``("cable", cable_id)`` and ``("as", asn)``; an edge means the
-    AS has at least one submarine link mapped to the cable.  When
-    ``mappings`` (Nautilus output, ``{link_id: {"cable_id": ...}}``) is given
-    the inferred view is used, otherwise ground truth.
-    """
-    graph = nx.Graph()
-    for link in world.submarine_links():
-        if mappings is not None:
-            entry = mappings.get(link.id)
-            cable_id = entry.get("cable_id") if isinstance(entry, dict) else getattr(entry, "cable_id", None)
-        else:
-            cable_id = link.cable_id
-        if cable_id is None:
-            continue
-        cable_node = ("cable", cable_id)
-        for asn in (link.asn_a, link.asn_b):
-            as_node = ("as", asn)
-            if graph.has_edge(cable_node, as_node):
-                graph[cable_node][as_node]["weight"] += 1
-            else:
-                graph.add_edge(cable_node, as_node, weight=1)
-    return graph
 
 
 def shared_cable_ases(world: SyntheticWorld, cable_ids: list[str]) -> list[int]:

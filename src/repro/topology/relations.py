@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.synth.ases import RelationshipKind
 from repro.synth.world import SyntheticWorld
 
@@ -73,15 +71,6 @@ class ASGraph:
     def degree(self, asn: int) -> int:
         return len(self.providers[asn]) + len(self.customers[asn]) + len(self.peers[asn])
 
-    def to_networkx(self) -> nx.Graph:
-        """Undirected view for connectivity analysis."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self.all_asns)
-        for asn in self.all_asns:
-            for other in self.providers[asn] | self.peers[asn]:
-                graph.add_edge(asn, other)
-        return graph
-
 
 class AdjacencyIndex:
     """Link→AS-pair indexes for fast severed-adjacency computation.
@@ -129,3 +118,32 @@ def failed_as_pairs(world: SyntheticWorld, failed_link_ids: list[str]) -> set[tu
     """AS adjacencies severed by a link-failure set (one-shot convenience;
     callers on a hot path should hold an :class:`AdjacencyIndex`)."""
     return AdjacencyIndex(world).dead_pairs(failed_link_ids)
+
+
+def isolated_asns(world: SyntheticWorld, failed_link_ids) -> list[int]:
+    """ASes cut off from the giant component once the given links are down.
+
+    A graph search over the surviving IP links; the giant component is the
+    first largest one in ``world.ases`` order.
+    """
+    failed = set(failed_link_ids)
+    neighbours: dict[int, list[int]] = {asn: [] for asn in world.ases}
+    for link in world.ip_links:
+        if link.id not in failed:
+            neighbours[link.asn_a].append(link.asn_b)
+            neighbours[link.asn_b].append(link.asn_a)
+    giant: set[int] = set()
+    seen: set[int] = set()
+    for root in world.ases:
+        if root in seen:
+            continue
+        component, frontier = {root}, [root]
+        while frontier:
+            for other in neighbours[frontier.pop()]:
+                if other not in component:
+                    component.add(other)
+                    frontier.append(other)
+        seen |= component
+        if len(component) > len(giant):
+            giant = component
+    return sorted(asn for asn in world.ases if asn not in giant)

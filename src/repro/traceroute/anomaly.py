@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy import stats
-
+from repro.analysis.changepoint import cusum_change_point
+from repro.analysis.stats import mann_whitney_greater
 from repro.traceroute.series import LatencyBin
 
 
@@ -37,29 +37,6 @@ class LatencyAnomaly:
             "p_value": self.p_value,
             "significant": self.significant,
         }
-
-
-def cusum_change_point(values: list[float]) -> int | None:
-    """Index of the most likely level-shift point (None when too short).
-
-    Standard offline CUSUM: the change point maximises the deviation of the
-    cumulative mean-adjusted sum.
-    """
-    n = len(values)
-    if n < 8:
-        return None
-    mean = sum(values) / n
-    cumulative = 0.0
-    best_idx = None
-    best_mag = 0.0
-    for i, v in enumerate(values):
-        cumulative += v - mean
-        if abs(cumulative) > best_mag:
-            best_mag = abs(cumulative)
-            best_idx = i + 1
-    if best_idx is None or best_idx <= 2 or best_idx >= n - 2:
-        return None
-    return best_idx
 
 
 def detect_series_anomalies(
@@ -91,8 +68,7 @@ def detect_series_anomalies(
         increase_pct = (elevated - baseline) / baseline * 100.0
         if increase_pct < min_increase_pct:
             continue
-        result = stats.mannwhitneyu(after, before, alternative="greater")
-        p_value = float(result.pvalue)
+        p_value = mann_whitney_greater(after, before)
         anomalies.append(
             LatencyAnomaly(
                 series_key=key,

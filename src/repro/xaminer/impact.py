@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
-from repro.synth.iplinks import IPLink
 from repro.synth.world import SyntheticWorld
+from repro.topology.relations import isolated_asns
 
 
 @dataclass
@@ -109,16 +107,6 @@ def _country_totals(world: SyntheticWorld) -> dict[str, CountryImpact]:
     return totals
 
 
-def _as_graph_without(world: SyntheticWorld, failed: set[str]) -> nx.Graph:
-    graph = nx.Graph()
-    graph.add_nodes_from(world.ases.keys())
-    for link in world.ip_links:
-        if link.id in failed:
-            continue
-        graph.add_edge(link.asn_a, link.asn_b)
-    return graph
-
-
 def compute_impact(world: SyntheticWorld, failed_link_ids: list[str]) -> ImpactReport:
     """Aggregate the damage of a failed-link set into impact metrics.
 
@@ -153,13 +141,7 @@ def compute_impact(world: SyntheticWorld, failed_link_ids: list[str]) -> ImpactR
         record.as_links_affected = len(affected_as_links[code])
 
     if failed:
-        graph = _as_graph_without(world, failed)
-        components = sorted(nx.connected_components(graph), key=len, reverse=True)
-        if components:
-            giant = components[0]
-            report.isolated_asns = sorted(
-                asn for asn in world.ases if asn not in giant
-            )
+        report.isolated_asns = isolated_asns(world, failed)
     return report
 
 

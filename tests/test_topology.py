@@ -1,15 +1,12 @@
 """Topology substrate: relations, valley-free routing, dependency, cascade."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.topology.cascade import propagate_cascade
-from repro.topology.dependency import (
-    as_dependency_scores,
-    build_as_dependency_graph,
-    build_cable_dependency_graph,
-    shared_cable_ases,
-)
-from repro.topology.relations import ASGraph, failed_as_pairs
+from repro.topology.dependency import as_dependency_scores, shared_cable_ases
+from repro.topology.relations import ASGraph, failed_as_pairs, isolated_asns
 from repro.topology.routing import ValleyFreeRouter
 
 
@@ -124,17 +121,19 @@ def test_dependency_scores_bounded(world):
     assert mean1 > mean3 * 5
 
 
-def test_dependency_graph_edges_weighted(world):
-    graph = build_as_dependency_graph(world, sample_sources=20)
-    for _, _, data in graph.edges(data=True):
-        assert 0.0 < data["weight"] <= 1.0
-
-
-def test_cable_dependency_graph_bipartite(world):
-    graph = build_cable_dependency_graph(world)
-    for node_a, node_b in graph.edges():
-        kinds = {node_a[0], node_b[0]}
-        assert kinds == {"cable", "as"}
+def test_isolated_asns_tie_keeps_first_half_as_giant():
+    """Two equal halves: the giant is the half holding the first AS in
+    ``world.ases`` order, so the other half is reported isolated."""
+    link = lambda lid, a, b: SimpleNamespace(id=lid, asn_a=a, asn_b=b)
+    world = SimpleNamespace(
+        ases=dict.fromkeys([30, 10, 40, 20]),
+        ip_links=[link("l1", 10, 20), link("l2", 30, 40), link("bridge", 20, 40)],
+    )
+    assert isolated_asns(world, []) == []
+    assert isolated_asns(world, ["bridge"]) == [10, 20]
+    world.ases = dict.fromkeys([20, 30, 10, 40])
+    assert isolated_asns(world, ["bridge"]) == [30, 40]
+    assert isolated_asns(world, ["l1", "l2", "bridge"]) == [10, 30, 40]
 
 
 def test_shared_cable_ases(world):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.traceroute.anomaly import cusum_change_point, detect_series_anomalies
+from repro.analysis.changepoint import cusum_change_point
+from repro.traceroute.anomaly import detect_series_anomalies
 from repro.traceroute.campaign import CampaignSpec, run_campaign_spec
 from repro.traceroute.probes import build_probe_fleet, probes_in_region, targets_in_region
 from repro.traceroute.rtt import PathResolver

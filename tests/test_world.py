@@ -4,6 +4,7 @@ import pytest
 
 from repro.synth.iplinks import LinkKind
 from repro.synth.world import WorldConfig, build_world, default_world
+from repro.topology.relations import isolated_asns
 
 
 def test_determinism_same_seed(world):
@@ -87,13 +88,7 @@ def test_summary_counts(world):
 
 
 def test_as_graph_connected(world):
-    import networkx as nx
-
-    graph = nx.Graph()
-    graph.add_nodes_from(world.ases.keys())
-    for link in world.ip_links:
-        graph.add_edge(link.asn_a, link.asn_b)
-    assert nx.is_connected(graph)
+    assert isolated_asns(world, ()) == []
 
 
 def test_base_load_within_capacity(world):
