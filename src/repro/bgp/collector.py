@@ -894,10 +894,7 @@ def shared_collector(
     """
     cfg = config or CollectorConfig()
     with _SHARED_COLLECTOR_LOCK:
-        cache = getattr(world, "_collector_cache", None)
-        if cache is None:
-            cache = {}
-            world._collector_cache = cache
+        cache = world.memo("collectors", dict)
         sim = cache.get(cfg)
         if sim is None:
             sim = cache[cfg] = BGPCollectorSim(world, cfg)

@@ -17,14 +17,7 @@ from dataclasses import dataclass, field
 
 from repro.nautilus.geolocation import Geolocator
 from repro.nautilus.sol import FIBER_SPEED_KM_PER_MS, min_rtt_ms
-from repro.synth.iplinks import (
-    IPLink,
-    LinkKind,
-    cable_path_km,
-    rank_cables_for_link,
-    true_path_km,
-)
-from repro.synth.geography import haversine_km
+from repro.synth.iplinks import CableDetour, IPLink, LinkKind, rank_cables_for_link, true_path_km
 from repro.synth.world import SyntheticWorld
 
 #: Per-link processing overhead added to the propagation delay (ms).
@@ -36,9 +29,22 @@ def observed_link_rtt_ms(world: SyntheticWorld, link: IPLink) -> float:
 
     Propagation over the link's true physical path, plus processing overhead,
     plus a deterministic per-link jitter of up to ±2% (min-RTT over repeated
-    probes is stable) — the same measurement
-    every substrate observes for this link.
+    probes is stable) — the same measurement every substrate observes for
+    this link.  A pure function of the (immutable) world, so it is memoized
+    per world and link; a link object the world does not own is computed
+    fresh.
     """
+    if world.link_by_id.get(link.id) is not link:
+        return link_rtt_ms(world, link)
+    rtts: dict[str, float] = world.memo("observed_link_rtt_ms", dict)
+    rtt = rtts.get(link.id)
+    if rtt is None:
+        rtt = rtts[link.id] = link_rtt_ms(world, link)
+    return rtt
+
+
+def link_rtt_ms(world: SyntheticWorld, link: IPLink) -> float:
+    """:func:`observed_link_rtt_ms` computed from scratch, without the memo."""
     path = true_path_km(link, world.cables, world.landing_points)
     base = min_rtt_ms(path) + _HOP_OVERHEAD_MS
     digest = hashlib.sha256(link.id.encode()).digest()
@@ -94,11 +100,11 @@ class CrossLayerMapper:
             observed_rtt_ms = observed_link_rtt_ms(self._world, link)
 
         if observed_rtt_ms is not None:
-            scores = self._rtt_scores(ranked, coord_a, coord_b, observed_rtt_ms)
+            scores = self._rtt_scores(ranked, observed_rtt_ms)
             rtt_validated = True
         else:
-            best_detour = ranked[0][1] if ranked else 0.0
-            scores = [(cid, best_detour / max(d, 1.0)) for cid, d in ranked]
+            best_detour = ranked[0].detour_km if ranked else 0.0
+            scores = [(r.cable_id, best_detour / max(r.detour_km, 1.0)) for r in ranked]
             rtt_validated = False
 
         if not scores:
@@ -157,37 +163,20 @@ class CrossLayerMapper:
     # -- internals -----------------------------------------------------------
 
     def _rtt_scores(
-        self,
-        ranked: list[tuple[str, float]],
-        coord_a: tuple[float, float],
-        coord_b: tuple[float, float],
-        observed_rtt_ms: float,
+        self, ranked: list[CableDetour], observed_rtt_ms: float
     ) -> list[tuple[str, float]]:
         """Score candidates by agreement between path length and RTT.
 
         The observed RTT implies a physical distance; candidates whose path
         deviates from it lose score exponentially (1000 km e-folding).  The
-        implied distance subtracts the per-hop overhead first.
+        implied distance subtracts the per-hop overhead first.  A candidate's
+        path is its wet length plus both tails at the 1.3 overland factor;
+        the tails come from the ranking's nearest-landing-point search.
         """
         implied_km = max(0.0, (observed_rtt_ms - _HOP_OVERHEAD_MS)) * FIBER_SPEED_KM_PER_MS / 2.0
         scores: list[tuple[str, float]] = []
-        for cable_id, _detour in ranked:
-            path = self._candidate_path_km(cable_id, coord_a, coord_b)
+        for route in ranked:
+            path = route.tail_a_km * 1.3 + route.wet_km + route.tail_b_km * 1.3
             mismatch_km = abs(path - implied_km)
-            scores.append((cable_id, 2.718281828 ** (-mismatch_km / 1000.0)))
+            scores.append((route.cable_id, 2.718281828 ** (-mismatch_km / 1000.0)))
         return scores
-
-    def _candidate_path_km(
-        self, cable_id: str, coord_a: tuple[float, float], coord_b: tuple[float, float]
-    ) -> float:
-        cable = self._world.cables[cable_id]
-        lps = [self._world.landing_points[i] for i in cable.landing_point_ids]
-        near_a = min(lps, key=lambda lp: haversine_km(coord_a, lp.coord))
-        near_b = min(lps, key=lambda lp: haversine_km(coord_b, lp.coord))
-        if near_a.id == near_b.id:
-            return haversine_km(coord_a, coord_b)
-        return (
-            haversine_km(coord_a, near_a.coord) * 1.3
-            + cable_path_km(cable, near_a.id, near_b.id)
-            + haversine_km(near_b.coord, coord_b) * 1.3
-        )

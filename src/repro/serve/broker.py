@@ -687,7 +687,7 @@ class QueryBroker:
                 world = self.shard(key).world
             except KeyError:
                 continue  # shard removed between listing and lookup
-            for sim in tuple(getattr(world, "_collector_cache", {}).values()):
+            for sim in tuple(world.memo("collectors", dict).values()):
                 if id(sim) in seen:
                     continue
                 seen.add(id(sim))

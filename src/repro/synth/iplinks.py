@@ -13,6 +13,7 @@ import ipaddress
 import random
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, NamedTuple
 
 from repro.synth.ases import ASLayer, AutonomousSystem
 from repro.synth.cables import LandingPoint, SubmarineCable
@@ -144,49 +145,64 @@ def cable_path_km(cable: SubmarineCable, lp_a: str, lp_b: str) -> float:
     return sum(seg.length_km for seg in cable.segments[lo:hi])
 
 
+class CableDetour(NamedTuple):
+    """One cable's route between two endpoints (see :func:`rank_cables_for_link`)."""
+
+    cable_id: str
+    detour_km: float
+    tail_a_km: float  # endpoint A to its nearest landing point of the cable
+    wet_km: float  # along the cable between the two nearest landing points
+    tail_b_km: float  # the far landing point to endpoint B
+
+
+def _nearest_landing_point(km: dict[str, float], lp_ids: list[str]) -> tuple[str, float]:
+    """The landing point of ``lp_ids`` nearest by ``km`` (first on ties), and its distance."""
+    best = lp_ids[0]
+    best_km = km[best]
+    for lp_id in lp_ids[1:]:
+        if km[lp_id] < best_km:
+            best, best_km = lp_id, km[lp_id]
+    return best, best_km
+
+
+def _distances_km(coord: tuple[float, float], lps: Iterable[LandingPoint]) -> dict[str, float]:
+    """Great-circle distance from ``coord`` to each landing point, by id."""
+    return {lp.id: haversine_km(coord, lp.coord) for lp in lps}
+
+
 def rank_cables_for_link(
     coord_a: tuple[float, float],
     coord_b: tuple[float, float],
     cables: dict[str, SubmarineCable],
     landing_points: dict[str, LandingPoint],
-) -> list[tuple[str, float]]:
-    """Rank cables by total detour between two endpoints, ascending.
+) -> list[CableDetour]:
+    """Rank the cables that can carry a link by total detour, ascending.
 
     Detour = terrestrial tail from endpoint A to its nearest landing point of
     the cable, plus the wet path between the two chosen landing points, plus
     the tail to endpoint B.  Tails are weighted 4x: they model overland
     backhaul, which in practice is short — without the penalty a cable lying
     entirely on one continent can "win" an intercontinental link through an
-    absurd terrestrial detour.  Returns ``[(cable_id, detour_km), ...]``.
+    absurd terrestrial detour.  Each endpoint's distance to each landing
+    point is computed once (cables share landing points), and the tails
+    keep the nearest-point search's distances.
     """
     tail_penalty = 4.0
-    ranked: list[tuple[str, float]] = []
+    km_a = _distances_km(coord_a, landing_points.values())
+    km_b = _distances_km(coord_b, landing_points.values())
+    ranked: list[CableDetour] = []
     for cable in cables.values():
-        lps = [landing_points[i] for i in cable.landing_point_ids]
-        near_a = min(lps, key=lambda lp: haversine_km(coord_a, lp.coord))
-        near_b = min(lps, key=lambda lp: haversine_km(coord_b, lp.coord))
-        if near_a.id == near_b.id:
+        near_a, tail_a = _nearest_landing_point(km_a, cable.landing_point_ids)
+        near_b, tail_b = _nearest_landing_point(km_b, cable.landing_point_ids)
+        if near_a == near_b:
             continue  # a single landing point cannot carry a crossing
-        detour = (
-            tail_penalty * haversine_km(coord_a, near_a.coord)
-            + cable_path_km(cable, near_a.id, near_b.id)
-            + tail_penalty * haversine_km(near_b.coord, coord_b)
-        )
-        ranked.append((cable.id, detour))
+        wet = cable_path_km(cable, near_a, near_b)
+        detour = tail_penalty * tail_a + wet + tail_penalty * tail_b
+        ranked.append(CableDetour(cable.id, detour, tail_a, wet, tail_b))
     if not ranked:
         raise RuntimeError("no cable can carry the link; catalog too sparse")
-    ranked.sort(key=lambda pair: pair[1])
+    ranked.sort(key=lambda route: route.detour_km)
     return ranked
-
-
-def best_cable_for_link(
-    coord_a: tuple[float, float],
-    coord_b: tuple[float, float],
-    cables: dict[str, SubmarineCable],
-    landing_points: dict[str, LandingPoint],
-) -> tuple[str, float]:
-    """The single minimum-detour cable (see :func:`rank_cables_for_link`)."""
-    return rank_cables_for_link(coord_a, coord_b, cables, landing_points)[0]
 
 
 def choose_cable_for_link(
@@ -207,8 +223,8 @@ def choose_cable_for_link(
     system carries tracks its lit capacity far more than small detour deltas.
     """
     ranked = rank_cables_for_link(coord_a, coord_b, cables, landing_points)
-    best_detour = ranked[0][1]
-    eligible = [cid for cid, d in ranked[:spread] if d <= best_detour * 2.0]
+    best_detour = ranked[0].detour_km
+    eligible = [r.cable_id for r in ranked[:spread] if r.detour_km <= best_detour * 2.0]
     weights = [cables[cid].capacity_tbps for cid in eligible]
     return rng.choices(eligible, weights=weights, k=1)[0]
 
@@ -230,16 +246,13 @@ def true_path_km(
     if link.cable_id is None:
         return haversine_km(link.coord_a, link.coord_b) * 1.3
     cable = cables[link.cable_id]
-    lps = [landing_points[i] for i in cable.landing_point_ids]
-    near_a = min(lps, key=lambda lp: haversine_km(link.coord_a, lp.coord))
-    near_b = min(lps, key=lambda lp: haversine_km(link.coord_b, lp.coord))
-    if near_a.id == near_b.id:
+    ids = cable.landing_point_ids
+    lps = [landing_points[i] for i in ids]
+    near_a, tail_a = _nearest_landing_point(_distances_km(link.coord_a, lps), ids)
+    near_b, tail_b = _nearest_landing_point(_distances_km(link.coord_b, lps), ids)
+    if near_a == near_b:
         return haversine_km(link.coord_a, link.coord_b) * 1.3
-    return (
-        haversine_km(link.coord_a, near_a.coord) * 1.3
-        + cable_path_km(cable, near_a.id, near_b.id)
-        + haversine_km(near_b.coord, link.coord_b) * 1.3
-    )
+    return tail_a * 1.3 + cable_path_km(cable, near_a, near_b) + tail_b * 1.3
 
 
 def _link_kind(a: AutonomousSystem, b: AutonomousSystem) -> LinkKind:

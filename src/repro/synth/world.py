@@ -12,6 +12,7 @@ import hashlib
 import json
 import random
 from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, TypeVar
 
 from repro.synth.ases import ASLayer, ASRelationship, AutonomousSystem, generate_as_layer
 from repro.synth.cables import (
@@ -23,6 +24,8 @@ from repro.synth.cables import (
 )
 from repro.synth.geography import COUNTRIES, Country, Region, country_by_code
 from repro.synth.iplinks import IPLink, LinkKind, Prefix, allocate_prefixes, build_ip_links
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -67,11 +70,23 @@ class SyntheticWorld:
         self.prefix_by_cidr = {
             p.cidr: p for plist in self.prefixes.values() for p in plist
         }
-        # Memoized derivations; the world is immutable by convention, so both
-        # are computed at most once (the BGP collector consults all_prefixes
-        # per route table and the serve/live layers fingerprint per payload).
-        self._all_prefixes: list[Prefix] | None = None
-        self._fingerprint: str | None = None
+        self._memo: dict[str, Any] = {}
+
+    def memo(self, key: str, build: Callable[[], T]) -> T:
+        """The value derived under ``key``, built by ``build()`` on first use.
+
+        The one home for per-world derivations (AS graph, adjacency index,
+        per-link RTTs, shared collectors, ...).  Safe because a world is
+        immutable once built: a derivation computed from it never goes
+        stale, and two worlds — even from equal configs — hold separate
+        memos.  A construction race builds at most one extra copy; every
+        caller gets the copy that was stored first.  Callers must not
+        mutate a memoized value unless it is a cache by design.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            return self._memo.setdefault(key, build())
 
     # -- lookup helpers -----------------------------------------------------
 
@@ -107,9 +122,9 @@ class SyntheticWorld:
 
     def all_prefixes(self) -> list[Prefix]:
         """Every announced prefix, memoized — callers must not mutate it."""
-        if self._all_prefixes is None:
-            self._all_prefixes = [p for plist in self.prefixes.values() for p in plist]
-        return self._all_prefixes
+        return self.memo(
+            "all_prefixes", lambda: [p for plist in self.prefixes.values() for p in plist]
+        )
 
     def ases_in_country(self, code: str) -> list[AutonomousSystem]:
         return self.as_layer.by_country(code)
@@ -124,13 +139,14 @@ class SyntheticWorld:
         one world can never be served for another, and the process execution
         backend ships it with every job payload — so compute it once.
         """
-        if self._fingerprint is None:
-            material = json.dumps(
-                {"config": asdict(self.config), "summary": self.summary()},
-                sort_keys=True,
-            )
-            self._fingerprint = hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
-        return self._fingerprint
+        return self.memo("fingerprint", self._compute_fingerprint)
+
+    def _compute_fingerprint(self) -> str:
+        material = json.dumps(
+            {"config": asdict(self.config), "summary": self.summary()},
+            sort_keys=True,
+        )
+        return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
 
     def summary(self) -> dict[str, int]:
         """Size summary used by docs and sanity tests."""

@@ -28,11 +28,7 @@ class ASGraph:
         the adjacency build and ASN interning per subsystem.  A benign
         construction race builds at most one extra copy.
         """
-        graph = getattr(world, "_as_graph", None)
-        if graph is None:
-            graph = cls.from_world(world)
-            world._as_graph = graph
-        return graph
+        return world.memo("as_graph", lambda: cls.from_world(world))
 
     @classmethod
     def from_world(cls, world: SyntheticWorld) -> "ASGraph":
@@ -87,11 +83,7 @@ class AdjacencyIndex:
     def shared(cls, world: SyntheticWorld) -> "AdjacencyIndex":
         """One index per world, memoized on the world object (worlds are
         immutable after construction; a construction race is benign)."""
-        index = getattr(world, "_adjacency_index", None)
-        if index is None:
-            index = cls(world)
-            world._adjacency_index = index
-        return index
+        return world.memo("adjacency_index", lambda: cls(world))
 
     def __init__(self, world: SyntheticWorld):
         self.pair_of_link: dict[str, tuple[int, int]] = {

@@ -10,8 +10,7 @@ starts from.
 
 from repro.traceroute.probes import Probe, build_probe_fleet
 from repro.traceroute.rtt import PathResolver
-from repro.traceroute.campaign import CampaignSpec, TracerouteMeasurement, run_campaign_spec
-from repro.traceroute.series import LatencyBin, latency_series_from_rows
+from repro.traceroute.campaign import CampaignSpec, campaign_rows
 from repro.traceroute.anomaly import LatencyAnomaly, detect_series_anomalies
 from repro.traceroute.api import (
     detect_latency_anomalies,
@@ -24,10 +23,7 @@ __all__ = [
     "build_probe_fleet",
     "PathResolver",
     "CampaignSpec",
-    "TracerouteMeasurement",
-    "run_campaign_spec",
-    "LatencyBin",
-    "latency_series_from_rows",
+    "campaign_rows",
     "LatencyAnomaly",
     "detect_series_anomalies",
     "detect_latency_anomalies",

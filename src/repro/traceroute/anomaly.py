@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from repro.analysis.changepoint import cusum_change_point
 from repro.analysis.stats import mann_whitney_greater
-from repro.traceroute.series import LatencyBin
 
 
 @dataclass(frozen=True)
@@ -40,19 +39,23 @@ class LatencyAnomaly:
 
 
 def detect_series_anomalies(
-    series: dict[str, list[LatencyBin]],
+    series: dict[str, list[dict]],
     min_increase_pct: float = 10.0,
     alpha: float = 0.01,
 ) -> list[LatencyAnomaly]:
     """Find significant latency level shifts across series.
 
-    For each series: locate the CUSUM change point, compare before/after
-    medians, and accept when the increase exceeds ``min_increase_pct`` with a
+    ``series`` maps a key to its bins as
+    :func:`~repro.traceroute.series.latency_series` emits them.  For each
+    series: locate the CUSUM change point, compare before/after medians, and
+    accept when the increase exceeds ``min_increase_pct`` with a
     Mann-Whitney p-value below ``alpha``.  Sorted by increase, largest first.
     """
     anomalies: list[LatencyAnomaly] = []
     for key, bins in series.items():
-        usable = [(b.bin_start, b.median_rtt_ms) for b in bins if b.median_rtt_ms is not None]
+        usable = [
+            (b["bin_start"], b["median_rtt_ms"]) for b in bins if b["median_rtt_ms"] is not None
+        ]
         if len(usable) < 8:
             continue
         values = [v for _, v in usable]

@@ -8,9 +8,9 @@ plain dicts for downstream adaptation.
 from __future__ import annotations
 
 from repro.traceroute.anomaly import detect_series_anomalies
-from repro.traceroute.campaign import CampaignSpec, run_campaign_spec
+from repro.traceroute.campaign import CampaignSpec, campaign_rows
 from repro.traceroute.probes import build_probe_fleet, probes_in_region, targets_in_region
-from repro.traceroute.series import LatencyBin, latency_series_from_rows
+from repro.traceroute.series import latency_series  # noqa: F401 - registry entry
 from repro.synth.geography import Region
 from repro.synth.world import SyntheticWorld
 
@@ -32,18 +32,7 @@ def run_campaign(
         window_end=window_end,
         interval_s=interval_s,
     )
-    measurements = run_campaign_spec(world, spec, incidents or [])
-    return [m.to_dict() for m in measurements]
-
-
-def latency_series(
-    measurement_rows: list[dict],
-    group_by: str = "pair",
-    bin_seconds: float = 3600.0,
-) -> dict[str, list[dict]]:
-    """Binned latency series from measurement rows."""
-    series = latency_series_from_rows(measurement_rows, group_by, bin_seconds)
-    return {key: [b.to_dict() for b in bins] for key, bins in series.items()}
+    return campaign_rows(world, spec, incidents or [])
 
 
 def detect_latency_anomalies(
@@ -52,19 +41,7 @@ def detect_latency_anomalies(
     alpha: float = 0.01,
 ) -> list[dict]:
     """Significant latency level shifts from serialised series rows."""
-    series = {
-        key: [
-            LatencyBin(
-                bin_start=row["bin_start"],
-                median_rtt_ms=row["median_rtt_ms"],
-                sample_count=row["sample_count"],
-                loss_count=row["loss_count"],
-            )
-            for row in rows
-        ]
-        for key, rows in series_rows.items()
-    }
-    anomalies = detect_series_anomalies(series, min_increase_pct, alpha)
+    anomalies = detect_series_anomalies(series_rows, min_increase_pct, alpha)
     return [a.to_dict() for a in anomalies]
 
 

@@ -8,10 +8,10 @@ latency signature with the correct onset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.traceroute.probes import Probe, build_probe_fleet, probes_in_region, targets_in_region
-from repro.traceroute.rtt import PathResolver
+from repro.traceroute.probes import build_probe_fleet, probes_in_region, targets_in_region
+from repro.traceroute.rtt import PathResolver, sample_noise
 from repro.synth.geography import Region
 from repro.synth.scenarios import LatencyIncident
 from repro.synth.world import SyntheticWorld
@@ -36,34 +36,6 @@ class CampaignSpec:
             raise ValueError("interval_s must be positive")
 
 
-@dataclass(frozen=True)
-class TracerouteMeasurement:
-    """One traceroute result (RTT ``None`` means the target was unreachable)."""
-
-    ts: float
-    probe_id: str
-    src_country: str
-    src_asn: int
-    dst_asn: int
-    dst_country: str
-    rtt_ms: float | None
-    hop_count: int
-    link_ids: tuple[str, ...] = field(default=())
-
-    def to_dict(self) -> dict:
-        return {
-            "ts": self.ts,
-            "probe_id": self.probe_id,
-            "src_country": self.src_country,
-            "src_asn": self.src_asn,
-            "dst_asn": self.dst_asn,
-            "dst_country": self.dst_country,
-            "rtt_ms": round(self.rtt_ms, 3) if self.rtt_ms is not None else None,
-            "hop_count": self.hop_count,
-            "link_ids": list(self.link_ids),
-        }
-
-
 def _failed_links_at(
     world: SyntheticWorld, incidents: list[LatencyIncident], ts: float
 ) -> frozenset[str]:
@@ -76,39 +48,61 @@ def _failed_links_at(
     return frozenset(dead)
 
 
-def run_campaign_spec(
+def campaign_rows(
     world: SyntheticWorld,
     spec: CampaignSpec,
     incidents: list[LatencyIncident] | None = None,
-    resolver: PathResolver | None = None,
-) -> list[TracerouteMeasurement]:
-    """Execute a campaign and return every measurement, time-ordered."""
+) -> list[dict]:
+    """Execute a campaign and return every measurement row, time-ordered.
+
+    Each row is one traceroute: ``ts``, ``probe_id``, ``src_country``,
+    ``src_asn``, ``dst_asn``, ``dst_country``, ``rtt_ms`` (rounded to the
+    microsecond; ``None`` when the target was unreachable), ``hop_count``
+    and ``link_ids``.  The failed-link set only changes at incident onsets,
+    so every (probe, target) path is resolved once per distinct set; each
+    timestep then only draws the per-sample noise.
+    """
     incidents = list(incidents or [])
-    resolver = resolver or PathResolver(world)
+    resolver = PathResolver(world)
     probes = probes_in_region(world, build_probe_fleet(world, spec.probe_density), spec.src_region)
     targets = targets_in_region(world, spec.dst_region, spec.targets_per_country)
+    pairs = [
+        (probe, dst_asn, world.ases[dst_asn].country_code)
+        for probe in probes
+        for dst_asn in targets
+        if dst_asn != probe.asn
+    ]
 
-    measurements: list[TracerouteMeasurement] = []
+    # (pair fields, path) per set of active incidents.
+    resolved: dict[tuple[bool, ...], list[tuple]] = {}
+    rows: list[dict] = []
     ts = spec.window_start
     while ts < spec.window_end:
-        failed = _failed_links_at(world, incidents, ts)
-        for probe in probes:
-            for dst_asn in targets:
-                if dst_asn == probe.asn:
-                    continue
-                rtt, path = resolver.measured_rtt_ms(probe.asn, dst_asn, ts, failed)
-                measurements.append(
-                    TracerouteMeasurement(
-                        ts=ts,
-                        probe_id=probe.id,
-                        src_country=probe.country_code,
-                        src_asn=probe.asn,
-                        dst_asn=dst_asn,
-                        dst_country=world.ases[dst_asn].country_code,
-                        rtt_ms=rtt,
-                        hop_count=path.hop_count if path else 0,
-                        link_ids=path.link_ids if path else (),
-                    )
-                )
+        active = tuple(ts >= incident.onset for incident in incidents)
+        hops = resolved.get(active)
+        if hops is None:
+            failed = _failed_links_at(world, incidents, ts)
+            hops = resolved[active] = [
+                (probe.id, probe.country_code, probe.asn, dst_asn, dst_country,
+                 resolver.resolve(probe.asn, dst_asn, failed))
+                for probe, dst_asn, dst_country in pairs
+            ]
+        for probe_id, src_country, src_asn, dst_asn, dst_country, path in hops:
+            if path is None:
+                rtt, hop_count, link_ids = None, 0, []
+            else:
+                rtt = round(path.base_rtt_ms * (1.0 + sample_noise(src_asn, dst_asn, ts)), 3)
+                hop_count, link_ids = path.hop_count, list(path.link_ids)
+            rows.append({
+                "ts": ts,
+                "probe_id": probe_id,
+                "src_country": src_country,
+                "src_asn": src_asn,
+                "dst_asn": dst_asn,
+                "dst_country": dst_country,
+                "rtt_ms": rtt,
+                "hop_count": hop_count,
+                "link_ids": link_ids,
+            })
         ts += spec.interval_s
-    return measurements
+    return rows

@@ -24,6 +24,17 @@ _PER_HOP_MS = 0.5
 _LAST_MILE_MS = 4.0
 
 
+def sample_noise(src_asn: int, dst_asn: int, ts: float) -> float:
+    """Deterministic relative noise of one RTT sample, uniform in ±3%.
+
+    The one definition behind every sampled RTT: single measurements
+    (:meth:`PathResolver.measured_rtt_ms`) and whole campaigns scale a
+    path's base RTT by ``1 + sample_noise(...)``.
+    """
+    digest = hashlib.sha256(f"{src_asn}-{dst_asn}-{ts}".encode()).digest()
+    return (int.from_bytes(digest[:8], "big") / 2**64 - 0.5) * 0.06
+
+
 @dataclass(frozen=True)
 class ResolvedPath:
     """The concrete forwarding path between two ASes."""
@@ -98,9 +109,7 @@ class PathResolver:
         path = self.resolve(src_asn, dst_asn, failed_link_ids)
         if path is None:
             return (None, None)
-        digest = hashlib.sha256(f"{src_asn}-{dst_asn}-{ts}".encode()).digest()
-        noise = (int.from_bytes(digest[:8], "big") / 2**64 - 0.5) * 0.06
-        return (path.base_rtt_ms * (1.0 + noise), path)
+        return (path.base_rtt_ms * (1.0 + sample_noise(src_asn, dst_asn, ts)), path)
 
     # -- internals -----------------------------------------------------------
 

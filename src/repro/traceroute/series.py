@@ -2,89 +2,68 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Callable
+
+_SERIES_KEYS: dict[str, Callable[[dict], str]] = {
+    "pair": lambda row: f"{row['src_country']}->{row['dst_country']}",
+    "src_country": lambda row: str(row["src_country"]),
+    "dst_country": lambda row: str(row["dst_country"]),
+    "aggregate": lambda row: "all",
+}
 
 
-@dataclass(frozen=True)
-class LatencyBin:
-    """Aggregate latency for one time bin of one series."""
-
-    bin_start: float
-    median_rtt_ms: float | None
-    sample_count: int
-    loss_count: int
-
-    @property
-    def loss_rate(self) -> float:
-        total = self.sample_count + self.loss_count
-        return self.loss_count / total if total else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "bin_start": self.bin_start,
-            "median_rtt_ms": round(self.median_rtt_ms, 3) if self.median_rtt_ms is not None else None,
-            "sample_count": self.sample_count,
-            "loss_count": self.loss_count,
-            "loss_rate": round(self.loss_rate, 4),
-        }
-
-
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2 == 1:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def _series_key(row: dict, group_by: str) -> str:
-    if group_by == "pair":
-        return f"{row['src_country']}->{row['dst_country']}"
-    if group_by == "src_country":
-        return str(row["src_country"])
-    if group_by == "dst_country":
-        return str(row["dst_country"])
-    if group_by == "aggregate":
-        return "all"
-    raise ValueError(f"unknown group_by {group_by!r}")
-
-
-def latency_series_from_rows(
-    rows: list[dict],
+def latency_series(
+    measurement_rows: list[dict],
     group_by: str = "pair",
     bin_seconds: float = 3600.0,
-) -> dict[str, list[LatencyBin]]:
+) -> dict[str, list[dict]]:
     """Group measurement rows into binned latency series.
 
     ``group_by`` is one of ``pair`` (src→dst country), ``src_country``,
-    ``dst_country`` or ``aggregate``.
+    ``dst_country`` or ``aggregate``.  Each series is a time-ordered list of
+    bins: ``bin_start``, ``median_rtt_ms`` (``None`` when every sample in
+    the bin was lost), ``sample_count``, ``loss_count`` and ``loss_rate``.
+    Series appear in order of their first row.
     """
     if bin_seconds <= 0:
         raise ValueError("bin_seconds must be positive")
-    grouped: dict[str, dict[float, tuple[list[float], int]]] = {}
-    for row in rows:
-        key = _series_key(row, group_by)
+    series_key = _SERIES_KEYS.get(group_by)
+    if series_key is None:
+        raise ValueError(f"unknown group_by {group_by!r}")
+    # series key -> bin start -> [rtt samples, loss count]
+    grouped: dict[str, dict[float, list]] = {}
+    for row in measurement_rows:
+        key = series_key(row)
+        bins = grouped.get(key)
+        if bins is None:
+            bins = grouped[key] = {}
         bin_start = (row["ts"] // bin_seconds) * bin_seconds
-        values, losses = grouped.setdefault(key, {}).get(bin_start, ([], 0))
-        if row["rtt_ms"] is None:
-            losses += 1
+        cell = bins.get(bin_start)
+        if cell is None:
+            cell = bins[bin_start] = [[], 0]
+        rtt = row["rtt_ms"]
+        if rtt is None:
+            cell[1] += 1
         else:
-            values = values + [row["rtt_ms"]]
-        grouped[key][bin_start] = (values, losses)
+            cell[0].append(rtt)
 
-    out: dict[str, list[LatencyBin]] = {}
+    out: dict[str, list[dict]] = {}
     for key, bins in grouped.items():
         series = []
         for bin_start in sorted(bins):
             values, losses = bins[bin_start]
-            series.append(
-                LatencyBin(
-                    bin_start=bin_start,
-                    median_rtt_ms=_median(values) if values else None,
-                    sample_count=len(values),
-                    loss_count=losses,
-                )
-            )
+            n = len(values)
+            median = None
+            if n:
+                values.sort()
+                mid = n // 2
+                median = round(values[mid] if n % 2 else (values[mid - 1] + values[mid]) / 2.0, 3)
+            series.append({
+                "bin_start": bin_start,
+                "median_rtt_ms": median,
+                "sample_count": n,
+                "loss_count": losses,
+                "loss_rate": round(losses / (n + losses), 4) if losses else 0.0,
+            })
         out[key] = series
     return out

@@ -3,11 +3,9 @@
 import pytest
 
 from repro.analysis.changepoint import cusum_change_point
-from repro.traceroute.anomaly import detect_series_anomalies
-from repro.traceroute.campaign import CampaignSpec, run_campaign_spec
+from repro.traceroute.campaign import CampaignSpec, campaign_rows
 from repro.traceroute.probes import build_probe_fleet, probes_in_region, targets_in_region
 from repro.traceroute.rtt import PathResolver
-from repro.traceroute.series import latency_series_from_rows
 from repro.traceroute.api import detect_latency_anomalies, latency_series, paths_crossing_links, run_campaign
 from repro.synth.geography import Region
 
@@ -92,10 +90,10 @@ def test_campaign_spec_validation():
 def test_campaign_produces_time_ordered_rows(world):
     spec = CampaignSpec(Region.EUROPE, Region.ASIA, 0.0, 6 * 3600.0,
                         interval_s=3600.0)
-    measurements = run_campaign_spec(world, spec)
-    timestamps = [m.ts for m in measurements]
+    rows = campaign_rows(world, spec)
+    timestamps = [row["ts"] for row in rows]
     assert timestamps == sorted(timestamps)
-    assert len({m.ts for m in measurements}) == 6
+    assert len(set(timestamps)) == 6
 
 
 def test_campaign_incident_raises_latency(world, incident):
@@ -110,12 +108,12 @@ def test_campaign_incident_raises_latency(world, incident):
 
 def test_series_grouping_modes(world):
     rows = run_campaign(world, "europe", "asia", 0.0, 4 * 3600.0)
-    pair = latency_series_from_rows(rows, group_by="pair")
-    aggregate = latency_series_from_rows(rows, group_by="aggregate")
+    pair = latency_series(rows, group_by="pair")
+    aggregate = latency_series(rows, group_by="aggregate")
     assert len(aggregate) == 1
     assert len(pair) > 10
     with pytest.raises(ValueError):
-        latency_series_from_rows(rows, group_by="nope")
+        latency_series(rows, group_by="nope")
 
 
 def test_series_bin_counts(world):
