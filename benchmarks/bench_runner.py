@@ -3,11 +3,11 @@
 Runs the serve-throughput, incremental-routing, forensic-loop and
 observability benchmarks (each writes its ``BENCH_*.json``), then gates
 the combined results against the committed floor in
-``benchmarks/bench_baseline.json`` — warm-cache hit rate, worker/backends
-speedups, convergence speedups, the closed-loop forensic guarantees (one
-completed case per incident, warm replays submitting nothing), the
-tracing-plane guarantees (near-zero overhead when disabled, complete
-broker-to-worker span chains when enabled) and the durability
+``benchmarks/bench_baseline.json`` — warm-cache hit rate, worker scaling,
+process-backend jobs/s, convergence speedups, the closed-loop forensic
+guarantees (one completed case per incident, warm replays submitting
+nothing), the tracing-plane guarantees (near-zero overhead when disabled,
+complete broker-to-worker span chains when enabled) and the durability
 guarantees (journal tax within a few percent, exactly-once resume with
 byte-identical artifacts) must not regress below it.
 Every emitted ``BENCH_*.json`` is stamped with run metadata (git sha,
@@ -159,6 +159,8 @@ def main(argv: list[str] | None = None) -> int:
                     else obase["max_overhead_pct"])
     max_journal_tax = (dbase["smoke_max_journal_overhead_pct"] if args.smoke
                        else dbase["max_journal_overhead_pct"])
+    min_process_jps = (sbase["smoke_min_process_jobs_per_sec"] if args.smoke
+                       else sbase["min_process_jobs_per_sec"])
     durability = serve["durability"]
 
     print(f"\n=== regression gate vs {os.path.relpath(args.baseline)} ===")
@@ -245,14 +247,16 @@ def main(argv: list[str] | None = None) -> int:
          f"(floor {obase['min_span_completeness']:.0%})"),
     ]
     if cores >= 2:
+        process_jps = serve.get("backend_jobs_per_sec", {}).get("process", 0.0)
         checks.append((
-            "process backend speedup",
-            serve.get("process_speedup", 0.0) >= sbase["min_process_speedup"],
-            f"{serve.get('process_speedup', 0.0):.2f}x "
-            f"(floor {sbase['min_process_speedup']}x on {cores} cores)",
+            "process backend jobs/s",
+            process_jps >= min_process_jps,
+            f"{process_jps:.1f} jobs/s on the CPU-bound cable campaign "
+            f"(floor {min_process_jps} on {cores} cores; "
+            f"{serve.get('process_speedup', 0.0):.2f}x vs threads, not gated)",
         ))
     else:
-        print(f"  SKIP  process backend speedup: {cores} core available "
+        print(f"  SKIP  process backend jobs/s: {cores} core available "
               "(no hardware parallelism to measure)")
 
     if not _gate(checks):

@@ -13,6 +13,7 @@ import traceback
 
 from repro.core.artifacts import ExecutionOutcome, GeneratedSolution
 from repro.core.catalog import ToolCatalog
+from repro.core.codegen import compile_solution
 
 
 def builtins_dict(builtins=None) -> dict:
@@ -38,7 +39,7 @@ def execute_solution(
     """Run a generated solution against a catalog."""
     namespace: dict = {"__name__": "arachnet_generated", "__builtins__": builtins_dict()}
     try:
-        exec(compile(solution.source_code, "<arachnet-generated>", "exec"), namespace)
+        exec(compile_solution(solution.source_code), namespace)
     except Exception:
         return ExecutionOutcome(
             succeeded=False,

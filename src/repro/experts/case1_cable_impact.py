@@ -10,7 +10,7 @@ arrive at similar country rankings.
 from __future__ import annotations
 
 from repro.nautilus.dependencies import extract_cable_dependencies
-from repro.nautilus.mapping import CrossLayerMapper
+from repro.nautilus.mapping import world_cable_mappings
 from repro.xaminer.aggregate import rank_countries
 from repro.xaminer.impact import compute_impact
 from repro.synth.world import SyntheticWorld
@@ -31,8 +31,7 @@ STAGE_KINDS = frozenset(
 def expert_cable_country_impact(world: SyntheticWorld, cable_name: str) -> dict:
     """Country-level impact of one cable failure, the specialist way."""
     cable = world.cable_named(cable_name)
-    mapper = CrossLayerMapper(world)
-    mappings = mapper.map_all()
+    mappings = world_cable_mappings(world)
     dependencies = extract_cable_dependencies(world, cable.id, mappings)
     report = compute_impact(world, dependencies.link_ids)
     ranking = rank_countries(report)

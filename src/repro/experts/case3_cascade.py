@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.bgp.api import fetch_updates, summarize_path_changes
 from repro.nautilus.dependencies import cables_between_regions, extract_cable_dependencies
-from repro.nautilus.mapping import CrossLayerMapper
+from repro.nautilus.mapping import world_cable_mappings
 from repro.topology.cascade import propagate_cascade
 from repro.traceroute.api import latency_series, run_campaign
 from repro.xaminer.aggregate import rank_countries
@@ -47,8 +47,7 @@ def expert_cascade_analysis(
 ) -> dict:
     """Cascading effects of corridor cable failures, the specialist way."""
     corridor = cables_between_regions(world, src_region, dst_region)
-    mapper = CrossLayerMapper(world)
-    mappings = mapper.map_all()
+    mappings = world_cable_mappings(world)
 
     failed_links: set[str] = set()
     for cable_id in corridor:

@@ -12,7 +12,7 @@ underneath are usable directly for finer control.
 
 from repro.nautilus.geolocation import GeoResult, Geolocator
 from repro.nautilus.sol import FIBER_SPEED_KM_PER_MS, min_rtt_ms, sol_compatible
-from repro.nautilus.mapping import CableMapping, CrossLayerMapper
+from repro.nautilus.mapping import CableMapping, CrossLayerMapper, world_cable_mappings
 from repro.nautilus.dependencies import CableDependencies, extract_cable_dependencies
 from repro.nautilus.api import (
     geolocate_ips,
@@ -32,6 +32,7 @@ __all__ = [
     "sol_compatible",
     "CableMapping",
     "CrossLayerMapper",
+    "world_cable_mappings",
     "CableDependencies",
     "extract_cable_dependencies",
     "geolocate_ips",

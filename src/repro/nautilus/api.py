@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.nautilus.dependencies import extract_cable_dependencies
 from repro.nautilus.geolocation import Geolocator
-from repro.nautilus.mapping import CrossLayerMapper
+from repro.nautilus.mapping import world_cable_mappings
 from repro.nautilus.sol import min_rtt_ms
 from repro.synth.geography import haversine_km
 from repro.synth.world import SyntheticWorld
@@ -72,14 +72,15 @@ def get_landing_points(world: SyntheticWorld, cable_name: str) -> list[dict]:
 
 
 def map_ip_links_to_cables(world: SyntheticWorld) -> dict[str, dict]:
-    """Run the cross-layer mapper over every submarine link.
+    """The cross-layer mapping of every submarine link, as JSON-able rows.
 
-    Returns ``{link_id: {cable_id, confidence, candidates}}`` — the primary
-    Nautilus output that downstream impact analysis consumes.
+    Returns ``{link_id: {cable_id, confidence, candidates, ...}}`` — the
+    primary Nautilus output that downstream impact analysis consumes.  The
+    mapping itself is computed once per world (:func:`world_cable_mappings`);
+    each call builds fresh rows from it, so a caller may mutate its copy.
     """
-    mapper = CrossLayerMapper(world)
     out: dict[str, dict] = {}
-    for link_id, mapping in mapper.map_all().items():
+    for link_id, mapping in world_cable_mappings(world).items():
         link = world.link_by_id[link_id]
         cable_name = (
             world.cables[mapping.cable_id].name if mapping.cable_id else None
@@ -106,11 +107,12 @@ def get_cable_dependencies(world: SyntheticWorld, cable_name: str) -> dict:
     """Dependency set of a cable: links, IPs, ASes, adjacencies, countries.
 
     Uses the *inferred* cross-layer mapping, as a real deployment would —
-    ground truth is not observable from measurement data.
+    ground truth is not observable from measurement data.  That mapping is
+    computed once per world (:func:`world_cable_mappings`); each call only
+    extracts this cable's dependencies from it.
     """
     cable = world.cable_named(cable_name)
-    mapper = CrossLayerMapper(world)
-    mappings = mapper.map_all()
+    mappings = world_cable_mappings(world)
     return extract_cable_dependencies(world, cable.id, mappings).to_dict()
 
 

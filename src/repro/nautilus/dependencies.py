@@ -9,6 +9,7 @@ the Xaminer-style impact analysis aggregates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro.nautilus.mapping import CableMapping
 from repro.synth.world import SyntheticWorld
@@ -67,7 +68,7 @@ def _mapping_covers(mapping: CableMapping, cable_id: str, min_relative_score: fl
 def extract_cable_dependencies(
     world: SyntheticWorld,
     cable_id: str,
-    mappings: dict[str, CableMapping] | None = None,
+    mappings: Mapping[str, CableMapping] | None = None,
     min_relative_score: float = 0.5,
 ) -> CableDependencies:
     """Collect the dependency set of one cable.

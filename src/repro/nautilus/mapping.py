@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.nautilus.geolocation import Geolocator
 from repro.nautilus.sol import FIBER_SPEED_KM_PER_MS, min_rtt_ms
@@ -121,7 +123,11 @@ class CrossLayerMapper:
         )
 
     def map_all(self) -> dict[str, CableMapping]:
-        """Map every submarine link in the world."""
+        """Map every submarine link in the world, from scratch.
+
+        Callers that want the default mapper's answer should use
+        :func:`world_cable_mappings`, which computes this once per world.
+        """
         return {link.id: self.map_link(link) for link in self._world.submarine_links()}
 
     def truth_in_candidates_rate(self, min_relative_score: float = 0.5) -> float:
@@ -180,3 +186,20 @@ class CrossLayerMapper:
             mismatch_km = abs(path - implied_km)
             scores.append((route.cable_id, 2.718281828 ** (-mismatch_km / 1000.0)))
         return scores
+
+
+def world_cable_mappings(world: SyntheticWorld) -> Mapping[str, CableMapping]:
+    """The default mapper's verdict for every submarine link, once per world.
+
+    Equal to ``CrossLayerMapper(world).map_all()``: a pure function of the
+    (immutable) world, so it is memoized on the world and shared by every
+    caller.  The mapping is a read-only view over frozen
+    :class:`CableMapping` records, so no caller can change it for the next.
+    A mapper with its own geolocator, candidate count or ``use_rtt=False``,
+    or a call that passes its own RTTs, goes through
+    :class:`CrossLayerMapper` directly and never sees this memo.
+    """
+    return world.memo(
+        "world_cable_mappings",
+        lambda: MappingProxyType(CrossLayerMapper(world).map_all()),
+    )

@@ -9,6 +9,8 @@ country-level denominators so embeddings can normalise them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.synth.world import SyntheticWorld
 from repro.topology.relations import isolated_asns
@@ -86,25 +88,60 @@ class ImpactReport:
         }
 
 
-def _country_totals(world: SyntheticWorld) -> dict[str, CountryImpact]:
-    """Initialise per-country impact records with denominators."""
-    totals: dict[str, CountryImpact] = {
-        code: CountryImpact(country_code=code) for code in world.countries
-    }
+def country_denominators(
+    world: SyntheticWorld,
+) -> Mapping[str, tuple[int, int, int, int, float]]:
+    """Per-country ``(ips, links, ases, as_links, capacity_gbps)`` totals.
+
+    A pure function of the (immutable) world, so it walks the IP links once
+    per world and memoizes plain numbers — never the mutable records
+    :func:`_country_totals` builds from them.
+    """
+    return world.memo(
+        "country_denominators", lambda: MappingProxyType(_walk_denominators(world))
+    )
+
+
+def _walk_denominators(world: SyntheticWorld) -> dict[str, tuple[int, int, int, int, float]]:
+    ends = {code: 0 for code in world.countries}  # one IP and one link per link end
+    capacity = {code: 0.0 for code in world.countries}
     as_links_seen: dict[str, set[tuple[int, int]]] = {code: set() for code in world.countries}
     ases_seen: dict[str, set[int]] = {code: set() for code in world.countries}
     for link in world.ip_links:
         for country, asn in ((link.country_a, link.asn_a), (link.country_b, link.asn_b)):
-            record = totals[country]
-            record.ips_total += 1
-            record.links_total += 1
-            record.capacity_total_gbps += link.capacity_gbps
+            ends[country] += 1
+            capacity[country] += link.capacity_gbps
             ases_seen[country].add(asn)
             as_links_seen[country].add(link.as_pair)
-    for code, record in totals.items():
-        record.ases_total = len(ases_seen[code])
-        record.as_links_total = len(as_links_seen[code])
-    return totals
+    return {
+        code: (
+            ends[code],
+            ends[code],
+            len(ases_seen[code]),
+            len(as_links_seen[code]),
+            capacity[code],
+        )
+        for code in world.countries
+    }
+
+
+def _country_totals(world: SyntheticWorld) -> dict[str, CountryImpact]:
+    """Fresh per-country impact records carrying their denominators.
+
+    Built anew on every call: the impact functions fill in the records'
+    ``*_affected`` fields, so they must never be shared between reports.
+    """
+    return {
+        code: CountryImpact(
+            country_code=code,
+            ips_total=ips,
+            links_total=links,
+            ases_total=ases,
+            as_links_total=as_links,
+            capacity_total_gbps=capacity,
+        )
+        for code, (ips, links, ases, as_links, capacity) in country_denominators(world).items()
+    }
 
 
 def compute_impact(world: SyntheticWorld, failed_link_ids: list[str]) -> ImpactReport:
