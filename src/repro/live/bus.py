@@ -3,7 +3,9 @@
 Telemetry producers publish to named topics; each subscriber owns an
 independent bounded deque, so one slow consumer can never block a producer
 or another consumer — it just starts shedding its *own* oldest messages,
-and the shed count is visible in :meth:`EventBus.stats`.  This is the
+and the shed count is visible in :meth:`EventBus.stats`.  Every count is a
+series of the bus's :class:`~repro.obs.MetricsRegistry` (a private one
+when none is given), keyed by topic and subscriber name.  This is the
 smallest honest model of the backpressure story a real streaming deployment
 (Kafka consumer groups, NATS) has to tell.
 """
@@ -32,15 +34,20 @@ class Subscription:
         self.maxlen = maxlen
         self._queue: deque = deque()
         self._lock = threading.Lock()
-        self.received = 0
-        self.dropped = 0
         self.closed = False
-        self._drop_counter = (
-            metrics.counter("bus_dropped_total",
-                            {"topic": topic, "subscriber": name})
-            if metrics is not None else None
-        )
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        labels = {"topic": topic, "subscriber": name}
+        self._received = metrics.counter("bus_received_total", labels)
+        self._dropped = metrics.counter("bus_dropped_total", labels)
         self._warned = False
+
+    @property
+    def received(self) -> int:
+        return int(self._received.value)
+
+    @property
+    def dropped(self) -> int:
+        return int(self._dropped.value)
 
     def _offer(self, item) -> None:
         warn = False
@@ -49,15 +56,13 @@ class Subscription:
                 return
             if len(self._queue) >= self.maxlen:
                 self._queue.popleft()
-                self.dropped += 1
-                if self._drop_counter is not None:
-                    self._drop_counter.inc()
+                self._dropped.inc()
                 # Warn once per subscriber: silent shedding hid real alert
                 # loss; per-message logging would melt a hot topic instead.
                 warn = not self._warned
                 self._warned = True
             self._queue.append(item)
-            self.received += 1
+            self._received.inc()
         if warn:
             logger.warning(
                 "bus subscriber %r on topic %r is full (maxlen=%d) and began "
@@ -100,9 +105,8 @@ class EventBus:
     def __init__(self, metrics: MetricsRegistry | None = None):
         self._subs: dict[str, list[Subscription]] = {}
         self._lock = threading.Lock()
-        self._published: dict[str, int] = {}
         self._names = itertools.count(1)
-        self._metrics = metrics
+        self._metrics = metrics if metrics is not None else MetricsRegistry()
 
     def subscribe(self, topic: str, name: str | None = None, maxlen: int = 256) -> Subscription:
         if not topic:
@@ -124,23 +128,24 @@ class EventBus:
         """Deliver to every subscriber of ``topic``; returns delivery count."""
         with self._lock:
             subs = list(self._subs.get(topic, []))
-            self._published[topic] = self._published.get(topic, 0) + 1
-        if self._metrics is not None:
-            self._metrics.counter("bus_published_total", {"topic": topic}).inc()
+        self._metrics.counter("bus_published_total", {"topic": topic}).inc()
         for sub in subs:
             sub._offer(item)
         return len(subs)
 
+    def _published(self) -> dict[str, int]:
+        return {dict(pairs)["topic"]: int(value) for pairs, value
+                in self._metrics.values("bus_published_total").items()}
+
     def topics(self) -> list[str]:
         with self._lock:
-            return sorted(set(self._subs) | set(self._published))
+            return sorted(set(self._subs) | set(self._published()))
 
     def stats(self) -> dict:
         with self._lock:
             subs = [s for group in self._subs.values() for s in group]
-            published = dict(self._published)
         return {
-            "published": published,
+            "published": self._published(),
             "subscribers": [s.stats() for s in subs],
             "dropped_total": sum(s.dropped for s in subs),
         }

@@ -1,27 +1,25 @@
 """One registry for every counter in the system.
 
-Before this module the system's numbers lived in scattered ad-hoc dicts —
-``broker.stats()``, ``backend.stats()["dispatch"]``, ``cache_info()``,
-``bus.stats()`` — each with its own shape and no way to scrape them
-together.  A :class:`MetricsRegistry` holds three instrument kinds:
+A :class:`MetricsRegistry` is the only place the serve plane and the live
+bus count anything: components increment instruments on their hot paths,
+and each ``stats()`` is a view reading them back (via :meth:`values` and
+:meth:`total`, which never create a series) beside live structural state
+such as queue lengths.  Three instrument kinds:
 
 * :class:`Counter` — monotonic totals (jobs submitted, bus drops);
-* :class:`Gauge` — point-in-time levels (queue depth, hit rates);
+* :class:`Gauge` — point-in-time levels (queue depth, active jobs), or
+  derived on read (:meth:`Gauge.set_function`: a hit rate, a length);
 * :class:`Histogram` — distributions over log-scale buckets (queue wait,
   forensic verdict latency) — powers of two from 1 ms, because service
   latencies spread over orders of magnitude and linear buckets waste
   resolution where nothing lives.
 
-Two integration mechanisms keep instrumentation cheap where it must be:
-
-* **Collectors** (:meth:`MetricsRegistry.register_collector`) are
-  callbacks run at scrape time — the broker registers one that refreshes
-  gauges from ``backend.stats()``/cache stats, so the hot paths keep
-  their existing lock-local counters and the registry pays only on dump.
-* **Delta draining** (:meth:`drain_deltas` / :meth:`absorb`) moves
-  counter increments across the process boundary: worker processes drain
-  their local registry after each job and the deltas ride the existing
-  reply pipes back to the broker's registry — no extra IPC channel.
+**Delta draining** (:meth:`drain_deltas` / :meth:`absorb`) moves counter
+increments across the process boundary: a worker process drains its
+local registry after every job and the deltas ride the reply pipe back to
+the broker's registry.  **Collectors** (:meth:`register_collector`) run
+at scrape time for subsystems that keep their own accounting (the routing
+core's BGP collectors).
 
 ``prometheus_text()`` renders the whole registry in Prometheus text
 exposition format (the ``--metrics-dump`` CLI flag); ``snapshot()`` is
@@ -100,16 +98,21 @@ class Counter:
 
 
 class Gauge:
-    """Point-in-time level; settable, inc/dec-able."""
+    """Point-in-time level; settable, inc/dec-able, or derived."""
 
     kind = "gauge"
-    __slots__ = ("name", "labels", "_value", "_lock")
+    __slots__ = ("name", "labels", "_value", "_fn", "_lock")
 
     def __init__(self, name: str, labels: LabelPairs = ()):
         self.name = name
         self.labels = labels
         self._value = 0.0
+        self._fn = None
         self._lock = threading.Lock()
+
+    def set_function(self, fn) -> None:
+        """Derive the gauge: every read returns ``float(fn())``."""
+        self._fn = fn
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -125,6 +128,8 @@ class Gauge:
 
     @property
     def value(self) -> float:
+        if self._fn is not None:
+            return float(self._fn())
         with self._lock:
             return self._value
 
@@ -224,12 +229,28 @@ class MetricsRegistry:
         with self._lock:
             return [self._metrics[k] for k in sorted(self._metrics)]
 
+    def values(self, name: str) -> dict[LabelPairs, float]:
+        """Every counter or gauge series of ``name``, keyed by its sorted
+        label pairs.  Never creates an instrument."""
+        with self._lock:
+            family = [(key[1], instrument)
+                      for key, instrument in self._metrics.items()
+                      if key[0] == name and not isinstance(instrument, Histogram)]
+        return {pairs: instrument.value for pairs, instrument in family}
+
+    def total(self, name: str, labels: dict | None = None) -> float:
+        """Sum of the ``name`` series whose labels include ``labels``
+        (0.0 when none exists yet)."""
+        want = set(_label_pairs(labels))
+        return sum(value for pairs, value in self.values(name).items()
+                   if want <= set(pairs))
+
     # -- collectors --------------------------------------------------------
 
     def register_collector(self, fn) -> None:
         """``fn(registry)`` runs at every scrape (snapshot/prometheus_text)
-        to refresh gauges from live sources — Prometheus custom-collector
-        style, so hot paths never pay for metrics nobody is reading."""
+        to sync a subsystem that keeps its own accounting into the
+        registry — Prometheus custom-collector style."""
         with self._lock:
             self._collectors.append(fn)
 

@@ -50,7 +50,7 @@ from repro.core.pipeline import ArachNet
 from repro.core.registry import default_registry
 from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
 from repro.serve import transport
-from repro.serve.cache import ArtifactCache
+from repro.serve.cache import ArtifactCache, cache_counts, export_hit_rate
 from repro.serve.scheduler import WorldShard
 from repro.synth.scenarios import LatencyIncident
 from repro.synth.world import WorldConfig, build_world
@@ -187,7 +187,8 @@ def _worker_system(payload: JobPayload) -> ArachNet:
         kwargs: dict = {
             "curate": False,
             "cache": (
-                ArtifactCache(max_entries=payload.cache_entries)
+                ArtifactCache(max_entries=payload.cache_entries,
+                              metrics=_worker_obs()[1], scope="workers")
                 if payload.cache_entries
                 else None
             ),
@@ -218,27 +219,28 @@ def _worker_obs() -> tuple:
 
 def _process_execute(payload: JobPayload,
                      worker_index: int = 0) -> tuple[PipelineResult, dict]:
-    """Runs in the worker process: answer the query, report cache economics.
+    """Runs in the worker process: answer the query.
 
-    With a trace context on the payload the whole run is wrapped in a
-    ``worker.execute`` span parented under the broker's dispatch span, and
-    the reply meta additionally carries this process's drained span records
-    and metric deltas — observability rides the reply pipes, no extra IPC.
+    The reply meta carries this process's drained metric deltas (job
+    count, cache lookups) on every job.  With a trace context on the
+    payload the run is also wrapped in a ``worker.execute`` span parented
+    under the broker's dispatch span, and the meta carries the drained
+    span records — observability rides the reply pipes, no extra IPC.
     """
     system = _worker_system(payload)
+    tracer, registry = _worker_obs()
+    registry.counter("worker_jobs_total", {"slot": str(worker_index)}).inc()
+    meta: dict = {"pid": os.getpid()}
     if payload.trace is not None:
-        tracer, registry = _worker_obs()
-        registry.counter("worker_jobs_total", {"slot": str(worker_index)}).inc()
         with tracer.span("worker.execute", parent=payload.trace, cat="worker",
                          slot=worker_index) as span:
             result = system.answer(payload.query, params=payload.params,
                                    tracer=tracer, trace_parent=span)
-        extra = {"spans": tracer.drain(), "metrics": registry.drain_deltas()}
+        meta["spans"] = tracer.drain()
     else:
         result = system.answer(payload.query, params=payload.params)
-        extra = {}
-    cache_stats = system.cache.stats() if system.cache is not None else None
-    return result, {"pid": os.getpid(), "cache": cache_stats, **extra}
+    meta["metrics"] = registry.drain_deltas()
+    return result, meta
 
 
 def _apply_fault(fault, index: int) -> None:
@@ -290,7 +292,8 @@ def _run_one(index, templates, row) -> tuple:
         result, meta = _process_execute(payload, worker_index=index)
         return (job_id, True, transport.encode(result), meta)
     except Exception as exc:  # shipped back and re-raised broker-side
-        return (job_id, False, _encode_exception(exc), None)
+        meta = {"pid": os.getpid(), "metrics": _worker_obs()[1].drain_deltas()}
+        return (job_id, False, _encode_exception(exc), meta)
 
 
 def _worker_main(index: int, requests, replies,
@@ -310,6 +313,9 @@ def _worker_main(index: int, requests, replies,
             os.close(fd)
         except OSError:  # pragma: no cover - already closed
             pass
+    # A forked worker starts without the parent's systems: their caches
+    # count into the parent's registry, which this process never drains.
+    _WORKER_SYSTEMS.clear()
     templates: dict[str, JobPayload] = {}
     while True:
         try:
@@ -328,7 +334,6 @@ def _worker_main(index: int, requests, replies,
                     # A bad template fails loudly at first job, with the
                     # error attached to a ticket someone is waiting on.
                     pass
-            replies.send(("preloaded", index, os.getpid()))
             continue
         if kind == "forget":
             template = templates.pop(message[1], None)
@@ -356,13 +361,21 @@ class ExecutionBackend:
     """
 
     name = "base"
-    #: The broker rebinds these to its own tracer/registry at construction;
-    #: the class defaults keep a standalone backend fully functional.
+    #: The broker rebinds this to its own tracer at construction; the
+    #: class default keeps a standalone backend fully functional.
     tracer = NULL_TRACER
-    metrics: MetricsRegistry | None = None
     #: Optional :class:`~repro.obs.FlightRecorder`; the process backend
     #: heartbeats it per worker reply and dumps a postmortem on respawns.
     flight = None
+
+    def __init__(self, metrics: MetricsRegistry | None = None):
+        # Every backend exports the worker-plane series (zero where it has
+        # no workers), so dashboards read one shape whatever the backend.
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._respawns = self.metrics.gauge("backend_respawns")
+        self._shm_bytes = self.metrics.gauge("backend_shm_bytes")
+        self._shm_results = self.metrics.gauge("backend_shm_results")
+        export_hit_rate(self.metrics, "workers")
 
     def start(self) -> "ExecutionBackend":
         return self
@@ -467,11 +480,18 @@ class ProcessPoolBackend(ExecutionBackend):
         cache_entries: int = 4096,
         start_method: str | None = None,
         job_timeout_s: float | None = None,
+        metrics: MetricsRegistry | None = None,
     ):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         if job_timeout_s is not None and job_timeout_s <= 0:
             raise ValueError("job_timeout_s must be positive (or None)")
+        super().__init__(metrics)
+        self._dispatched = self.metrics.counter("backend_dispatched_total")
+        self._inline_results = self.metrics.counter(
+            "backend_inline_results_total")
+        self._deadline_kills = self.metrics.counter(
+            "backend_deadline_kills_total")
         self.job_timeout_s = job_timeout_s
         self.num_workers = num_workers
         self._llm_factory = llm_factory
@@ -493,12 +513,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self._stop = threading.Event()
         self._started = False
         self._stopped = False
-        self._proc_cache_stats: dict[int, dict] = {}
-        self._counts = {
-            "respawns": 0, "dispatched": 0,
-            "shm_results": 0, "shm_bytes": 0, "inline_results": 0,
-            "deadline_kills": 0,
-        }
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -663,7 +677,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 slot.templates_sent.add(shard.key)
             self._futures[job_id] = future
             slot.inflight[job_id] = time.monotonic()
-            self._counts["dispatched"] += 1
+        self._dispatched.inc()
         return future
 
     def run(
@@ -779,35 +793,26 @@ class ProcessPoolBackend(ExecutionBackend):
             self._handle_reply(message)
 
     def _handle_reply(self, message: tuple) -> None:
-        kind = message[0]
-        if kind == "preloaded":
-            with self._lock:
-                self._proc_cache_stats.setdefault(message[2], None)
-            return
         _, index, (job_id, ok, blob, meta) = message  # ("done", slot, row)
-        if meta is not None and self.flight is not None:
+        if self.flight is not None:
             # Reply metadata doubles as the worker's liveness signal.
             self.flight.heartbeat(f"worker-{index}", pid=meta["pid"])
-        if meta is not None:
-            # Absorb worker-side observability before the future resolves,
-            # so a caller that wakes on the result already sees its spans.
-            spans = meta.get("spans")
-            if spans:
-                self.tracer.ingest(spans)
-            deltas = meta.get("metrics")
-            if deltas and self.metrics is not None:
-                self.metrics.absorb(deltas)
+        # Absorb worker-side observability before the future resolves, so
+        # a caller that wakes on the result already sees its spans and
+        # counts.
+        spans = meta.get("spans")
+        if spans:
+            self.tracer.ingest(spans)
+        self.metrics.absorb(meta["metrics"])
+        if ok:
+            if blob[0] == "shm":
+                self._shm_results.inc()
+                self._shm_bytes.inc(blob[2] + sum(blob[3]))
+            else:
+                self._inline_results.inc()
         with self._lock:
             self._slots[index].inflight.pop(job_id, None)
             future = self._futures.pop(job_id, None)
-            if meta is not None:
-                self._proc_cache_stats[meta["pid"]] = meta["cache"]
-            if ok:
-                if blob[0] == "shm":
-                    self._counts["shm_results"] += 1
-                    self._counts["shm_bytes"] += blob[2] + sum(blob[3])
-                else:
-                    self._counts["inline_results"] += 1
         if future is None:
             if ok:  # nobody will decode it; reclaim the segment
                 transport.release(blob)
@@ -852,7 +857,7 @@ class ProcessPoolBackend(ExecutionBackend):
                     slot.inflight.pop(job_id, None)
                     if future is not None:
                         futures.append(future)
-                self._counts["deadline_kills"] += 1
+                self._deadline_kills.inc()
                 process = slot.process
             for future in futures:
                 future.set_exception(
@@ -900,7 +905,7 @@ class ProcessPoolBackend(ExecutionBackend):
                             crashed.append(future)
                     slot.inflight.clear()
                     slot.generation += 1
-                    self._counts["respawns"] += 1
+                    self._respawns.inc()
                     self._prepare_slot(slot)
                 # Fork outside the lock so process creation never stalls
                 # dispatch/collection.  Forking here, after threads exist,
@@ -927,37 +932,28 @@ class ProcessPoolBackend(ExecutionBackend):
     # -- introspection -----------------------------------------------------
 
     def stats(self) -> dict:
-        """Worker respawns, dispatch and transport mix, and aggregated
-        per-process artifact-cache stats (last seen per pid)."""
+        """A view: live worker processes, plus the registry's respawns,
+        dispatch mix and worker-cache lookups (every generation's)."""
         with self._lock:
-            counts = dict(self._counts)
-            snapshots = [s for s in self._proc_cache_stats.values() if s]
-            processes = len(self._proc_cache_stats)
-        merged = None
-        if snapshots:
-            merged = {
-                "entries": sum(s["entries"] for s in snapshots),
-                "hits": sum(s["hits"] for s in snapshots),
-                "misses": sum(s["misses"] for s in snapshots),
-                "evictions": sum(s["evictions"] for s in snapshots),
-            }
-            total = merged["hits"] + merged["misses"]
-            merged["hit_rate"] = merged["hits"] / total if total else 0.0
+            processes = sum(1 for slot in self._slots if slot.process is not None
+                            and slot.process.is_alive())
+        cache = cache_counts(self.metrics, "workers")
+        del cache["per_stage"]
         return {
             "backend": self.name,
             "workers": self.num_workers,
             "processes": processes,
-            "cache": merged,
-            "respawns": counts["respawns"],
+            "cache": cache if cache["hits"] or cache["misses"] else None,
+            "respawns": int(self._respawns.value),
             "dispatch": {
-                "jobs": counts["dispatched"],
-                "shm_results": counts["shm_results"],
-                "shm_bytes": counts["shm_bytes"],
-                "inline_results": counts["inline_results"],
+                "jobs": int(self._dispatched.value),
+                "shm_results": int(self._shm_results.value),
+                "shm_bytes": int(self._shm_bytes.value),
+                "inline_results": int(self._inline_results.value),
             },
             "deadline": {
                 "timeout_s": self.job_timeout_s,
-                "kills": counts["deadline_kills"],
+                "kills": int(self._deadline_kills.value),
             },
         }
 
@@ -1004,6 +1000,7 @@ def build_backend(
     llm_factory=None,
     cache_entries: int = 4096,
     job_timeout_s: float | None = None,
+    metrics: MetricsRegistry | None = None,
 ) -> ExecutionBackend:
     """Backend factory for :class:`ServeConfig.backend` names.
 
@@ -1011,12 +1008,13 @@ def build_backend(
     backend runs jobs on the claiming thread, which Python cannot preempt.
     """
     if name == "thread":
-        return ThreadPoolBackend()
+        return ThreadPoolBackend(metrics)
     if name == "process":
         return ProcessPoolBackend(
             num_workers=num_workers,
             llm_factory=llm_factory,
             cache_entries=cache_entries,
             job_timeout_s=job_timeout_s,
+            metrics=metrics,
         )
     raise BackendError(f"unknown backend {name!r}; expected one of {BACKEND_NAMES}")

@@ -219,7 +219,8 @@ class QueryBroker:
         else:
             self.flight = None
         self.cache = (
-            ArtifactCache(max_entries=self.config.max_cache_entries)
+            ArtifactCache(max_entries=self.config.max_cache_entries,
+                          metrics=self.metrics)
             if self.config.cache_enabled
             else None
         )
@@ -272,11 +273,11 @@ class QueryBroker:
                 self.config.max_cache_entries if self.config.cache_enabled else 0
             ),
             job_timeout_s=self.config.job_timeout_s,
+            metrics=self.metrics,
         )
         # The backend contributes to the same obs plane: it ingests
         # worker-side spans/metric deltas as replies arrive.
         self.backend.tracer = self.tracer
-        self.backend.metrics = self.metrics
         self.backend.flight = self.flight
         if self.flight is not None:
             self.flight.add_source("broker", self.stats)
@@ -297,12 +298,7 @@ class QueryBroker:
         self._jobs: dict[str, Job] = {}  # insertion-ordered: oldest first
         self._lock = threading.Lock()
         self._ticket_counter = 0
-        self._pruned = 0
-        self._finished_total = {"done": 0, "failed": 0, "cancelled": 0,
-                                "quarantined": 0}
-        self._submitted_by_priority: dict[int, int] = {}
         self._default_registry = registry
-        self.metrics.register_collector(self._refresh_gauges)
         self.metrics.register_collector(self._refresh_routing)
         if world is not None:
             self.add_world(DEFAULT_WORLD_KEY, world, incidents=incidents,
@@ -497,9 +493,6 @@ class QueryBroker:
             self._jobs[ticket] = job
             if key:
                 self._key_tickets[key] = ticket
-            self._submitted_by_priority[priority] = (
-                self._submitted_by_priority.get(priority, 0) + 1
-            )
         if self.tracer.enabled:
             # The job's whole life is one trace: a root span open until
             # settle, with queue wait as its first child.  Both spans close
@@ -551,50 +544,41 @@ class QueryBroker:
         settled with the journaled digest and final output, byte-identical
         to the run that produced it.  (Failed completions never come here —
         they re-run fresh; that is the drain-and-retry path.)"""
-        with self._lock:
-            self._ticket_counter += 1
-            ticket = f"job-{self._ticket_counter:06d}"
-            job = Job(ticket=ticket, query=query, params=params,
-                      priority=priority, world_key=world_key,
-                      key=key, replayed=True)
-            job.state = JobState.DONE
-            job.result = ReplayedResult(completion)
-            self._jobs[ticket] = job
-            self._finished_total["done"] += 1
-        self.metrics.counter("broker_jobs_replayed_total").inc()
-        entry = self.ledger.open(ticket, query, world_key)
-        entry.worker = "journal-replay"
-        entry.status = "done"
-        entry.finished_at = self.ledger.now()
-        job.done.set()
-        self._prune_finished()
-        return ticket
+        job = Job(ticket="", query=query, params=params, priority=priority,
+                  world_key=world_key, key=key, state=JobState.DONE,
+                  result=ReplayedResult(completion), replayed=True)
+        return self._settled_ticket(job, "broker_jobs_replayed_total",
+                                    worker="journal-replay")
 
     def _quarantine_submit(self, query: str, params: dict | None,
                            priority: int, world_key: str, key: str) -> str:
         """Settle a circuit-open submission straight into the DLQ."""
-        error = ("quarantined: crash-loop circuit breaker is open for this "
-                 "(world, query) signature; drain the dead-letter queue to retry")
+        job = Job(ticket="", query=query, params=params, priority=priority,
+                  world_key=world_key, key=key, state=JobState.QUARANTINED,
+                  error=("quarantined: crash-loop circuit breaker is open for "
+                         "this (world, query) signature; drain the "
+                         "dead-letter queue to retry"))
+        return self._settled_ticket(job, "broker_jobs_quarantined_total")
+
+    def _settled_ticket(self, job: Job, counter: str, worker: str = "") -> str:
+        """Ticket a job that is terminal at submit and release its waiters."""
         with self._lock:
             self._ticket_counter += 1
-            ticket = f"job-{self._ticket_counter:06d}"
-            job = Job(ticket=ticket, query=query, params=params,
-                      priority=priority, world_key=world_key, key=key)
-            job.state = JobState.QUARANTINED
-            job.error = error
-            self._jobs[ticket] = job
-            self._finished_total["quarantined"] += 1
-        self.metrics.counter("broker_jobs_quarantined_total").inc()
-        self.deadletter.quarantine(world_key, query, key=key, params=params,
-                                   priority=priority, ticket=ticket,
-                                   error=error)
-        entry = self.ledger.open(ticket, query, world_key)
-        entry.status = "quarantined"
-        entry.error = error
+            job.ticket = f"job-{self._ticket_counter:06d}"
+            self._jobs[job.ticket] = job
+        self.metrics.counter(counter).inc()
+        if job.state is JobState.QUARANTINED:
+            self.deadletter.quarantine(
+                job.world_key, job.query, key=job.key, params=job.params,
+                priority=job.priority, ticket=job.ticket, error=job.error)
+        entry = self.ledger.open(job.ticket, job.query, job.world_key)
+        entry.worker = worker
+        entry.status = job.state.value
+        entry.error = job.error
         entry.finished_at = self.ledger.now()
         job.done.set()
         self._prune_finished()
-        return ticket
+        return job.ticket
 
     def cancel(self, ticket: str) -> bool:
         """Cancel a still-queued job; ``True`` when this call cancelled it.
@@ -611,9 +595,9 @@ class QueryBroker:
                 return False
             job.state = JobState.CANCELLED
             job.error = "cancelled before execution"
-            self._finished_total["cancelled"] += 1
             if job.key:
                 self._key_tickets.pop(job.key, None)
+        self.metrics.counter("broker_jobs_cancelled_total").inc()
         if self.journal is not None and job.key:
             self.journal.append("cancel", {"ticket": ticket})
         self.ledger.mark_finished(ticket, "cancelled", job.error)
@@ -652,27 +636,6 @@ class QueryBroker:
 
     # -- introspection -----------------------------------------------------
 
-    def _refresh_gauges(self, metrics: MetricsRegistry) -> None:
-        """Scrape-time collector: project the hot paths' existing stats dicts
-        into registry gauges, so queue depth, worker respawns, transport
-        volume and cache hit rates all answer from one place without the hot
-        paths paying for a second accounting system."""
-        backend = self.backend.stats()
-        metrics.gauge("backend_respawns").set(backend.get("respawns", 0))
-        dispatch = backend.get("dispatch") or {}
-        metrics.gauge("backend_shm_bytes").set(dispatch.get("shm_bytes", 0))
-        metrics.gauge("backend_shm_results").set(dispatch.get("shm_results", 0))
-        worker_cache = backend.get("cache") or {}
-        metrics.gauge("cache_hit_rate", {"scope": "workers"}).set(
-            worker_cache.get("hit_rate", 0.0) if worker_cache else 0.0)
-        if self.cache is not None:
-            cache = self.cache.stats()
-            metrics.gauge("cache_hit_rate", {"scope": "broker"}).set(
-                cache["hit_rate"])
-            metrics.gauge("cache_entries", {"scope": "broker"}).set(
-                cache["entries"])
-        metrics.gauge("broker_active_jobs").set(self._pool.active_jobs)
-
     def _refresh_routing(self, metrics: MetricsRegistry) -> None:
         """Scrape-time collector over the routing core: every shared BGP
         collector living on a shard's world (the serve workers' forensic
@@ -694,23 +657,34 @@ class QueryBroker:
                 sim.sync_metrics(metrics, {"world": key})
 
     def stats(self) -> dict:
+        """A view: live structural state plus the registry's totals."""
         with self._lock:
             states: dict[str, int] = {}
             for job in self._jobs.values():
                 states[job.state.value] = states.get(job.state.value, 0) + 1
             submitted = self._ticket_counter
-            pruned = self._pruned
-            finished_total = dict(self._finished_total)
-            by_priority = dict(sorted(self._submitted_by_priority.items()))
+        total = self.metrics.total
+        scheduler = self._scheduler.stats()
+        # Submissions were either pushed to the scheduler or refused there.
+        by_priority = dict(scheduler["pushed_by_priority"])
+        for band, count in self._scheduler.rejected_by_priority().items():
+            by_priority[band] = by_priority.get(band, 0) + count
         return {
             "submitted": submitted,
             "states": states,  # retained jobs only; see finished_total
-            "finished_total": finished_total,
-            "submitted_by_priority": by_priority,
-            "pruned": pruned,
+            "finished_total": {
+                "done": int(total("broker_jobs_finished_total", {"state": "done"})
+                            + total("broker_jobs_replayed_total")),
+                "failed": int(total("broker_jobs_finished_total",
+                                    {"state": "failed"})),
+                "cancelled": int(total("broker_jobs_cancelled_total")),
+                "quarantined": int(total("broker_jobs_quarantined_total")),
+            },
+            "submitted_by_priority": dict(sorted(by_priority.items())),
+            "pruned": int(total("broker_jobs_pruned_total")),
             "workers": self.config.workers,
             "active_jobs": self._pool.active_jobs,
-            "scheduler": self._scheduler.stats(),
+            "scheduler": scheduler,
             "backend": self.backend.stats(),
             "cache": self.cache.stats() if self.cache else None,
             "journal": self.journal.stats() if self.journal is not None else None,
@@ -884,8 +858,6 @@ class QueryBroker:
             state_key = "quarantined"
         else:
             state_key = "failed"
-        with self._lock:
-            self._finished_total[state_key] += 1
         self.metrics.counter("broker_jobs_finished_total",
                              {"state": state_key}).inc()
         if self.journal is not None and job.key:
@@ -942,6 +914,7 @@ class QueryBroker:
                         victims.append(ticket)
                 for ticket in victims:
                     del self._jobs[ticket]
-                    self._pruned += 1
+        if victims:
+            self.metrics.counter("broker_jobs_pruned_total").inc(len(victims))
         for ticket in victims:
             self.ledger.remove(ticket)

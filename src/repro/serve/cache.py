@@ -11,6 +11,10 @@ evolve the registry (or point at a different world) and the key changes.
 The cache stores artifacts as canonical JSON text, not live objects, so a
 hit reconstructs a fresh artifact and mutation by one job can never leak
 into another.
+
+Lookups count into a :class:`~repro.obs.MetricsRegistry` under a
+``scope`` label: ``broker`` for the broker-wide cache, ``workers`` for
+worker processes' caches, whose counts arrive as drained deltas.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import json
 import os
 import threading
 from collections import OrderedDict
+
+from repro.obs import MetricsRegistry
 
 
 #: File name used inside a ``--cache-dir`` directory by every serve/live mode.
@@ -39,24 +45,53 @@ def content_key(stage: str, material: dict) -> str:
     return f"{stage}:{digest[:32]}"
 
 
+def cache_counts(metrics: MetricsRegistry, scope: str) -> dict:
+    """One cache scope's lookup totals, overall and per stage, read from
+    the registry's ``cache_lookups_total`` / ``cache_evictions_total``."""
+    per_stage: dict[str, dict[str, int]] = {}
+    for pairs, value in metrics.values("cache_lookups_total").items():
+        labels = dict(pairs)
+        if labels["scope"] == scope:
+            stage = per_stage.setdefault(labels["stage"], {"hits": 0, "misses": 0})
+            stage["hits" if labels["result"] == "hit" else "misses"] += int(value)
+    hits = sum(s["hits"] for s in per_stage.values())
+    misses = sum(s["misses"] for s in per_stage.values())
+    return {"hits": hits, "misses": misses,
+            "evictions": int(metrics.total("cache_evictions_total", {"scope": scope})),
+            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+            "per_stage": per_stage}
+
+
+def export_hit_rate(metrics: MetricsRegistry, scope: str) -> None:
+    """``cache_hit_rate{scope}``, derived from the scope's lookups on read."""
+    metrics.gauge("cache_hit_rate", {"scope": scope}).set_function(
+        lambda: cache_counts(metrics, scope)["hit_rate"])
+
+
 class ArtifactCache:
     """Thread-safe LRU store of serialized stage artifacts.
 
     Implements the two-method protocol :class:`repro.core.pipeline.ArachNet`
     expects of its ``cache`` field: ``fetch`` returns the deserialized
-    payload dict (or ``None``) and ``store`` records one.
+    payload dict (or ``None``) and ``store`` records one.  Lookups and
+    evictions count into ``metrics`` (a private registry when none is
+    given) under ``scope``.
     """
 
-    def __init__(self, max_entries: int = 4096):
+    def __init__(self, max_entries: int = 4096,
+                 metrics: MetricsRegistry | None = None,
+                 scope: str = "broker"):
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.scope = scope
         self._entries: OrderedDict[str, str] = OrderedDict()
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._per_stage: dict[str, dict[str, int]] = {}
+        labels = {"scope": scope}
+        self._evictions = self.metrics.counter("cache_evictions_total", labels)
+        self.metrics.gauge("cache_entries", labels).set_function(self.__len__)
+        export_hit_rate(self.metrics, scope)
 
     def __len__(self) -> int:
         with self._lock:
@@ -66,15 +101,12 @@ class ArtifactCache:
         key = content_key(stage, material)
         with self._lock:
             text = self._entries.get(key)
-            counters = self._per_stage.setdefault(stage, {"hits": 0, "misses": 0})
-            if text is None:
-                self._misses += 1
-                counters["misses"] += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            counters["hits"] += 1
-        return json.loads(text)
+            if text is not None:
+                self._entries.move_to_end(key)
+        result = "miss" if text is None else "hit"
+        self.metrics.counter("cache_lookups_total", {
+            "scope": self.scope, "stage": stage, "result": result}).inc()
+        return None if text is None else json.loads(text)
 
     def store(self, stage: str, material: dict, payload: dict) -> str:
         key = content_key(stage, material)
@@ -84,7 +116,7 @@ class ArtifactCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
-                self._evictions += 1
+                self._evictions.inc()
         return key
 
     def clear(self) -> None:
@@ -148,32 +180,10 @@ class ArtifactCache:
                 self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
-                self._evictions += 1
+                self._evictions.inc()
         return len(entries)
 
-    @property
-    def hit_rate(self) -> float:
-        with self._lock:
-            total = self._hits + self._misses
-            return self._hits / total if total else 0.0
-
     def stats(self) -> dict:
-        with self._lock:
-            total = self._hits + self._misses
-            return {
-                "entries": len(self._entries),
-                "max_entries": self.max_entries,
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-                "hit_rate": self._hits / total if total else 0.0,
-                "per_stage": {k: dict(v) for k, v in self._per_stage.items()},
-            }
-
-    def reset_stats(self) -> None:
-        """Zero the counters without dropping cached artifacts."""
-        with self._lock:
-            self._hits = 0
-            self._misses = 0
-            self._evictions = 0
-            self._per_stage.clear()
+        """Size plus this scope's cumulative lookup counts."""
+        return {"entries": len(self), "max_entries": self.max_entries,
+                **cache_counts(self.metrics, self.scope)}

@@ -405,7 +405,6 @@ class WriteAheadJournal:
         self._handle = None
         self._segment_bytes = 0
         self._since_checkpoint = 0
-        self._appended = 0
         self._closed = False
         self._rotate_locked()
 
@@ -438,12 +437,11 @@ class WriteAheadJournal:
             self.state.apply(full)
             self._segment_bytes += len(framed)
             self._since_checkpoint += 1
-            self._appended += 1
+            self._appends.inc()
             if self._since_checkpoint >= self.checkpoint_every:
                 self._checkpoint_locked()
             elif self._segment_bytes >= self.max_segment_bytes:
                 self._rotate_locked()
-        self._appends.inc()
         return full
 
     def _rotate_locked(self) -> None:
@@ -530,7 +528,7 @@ class WriteAheadJournal:
         with self._lock:
             return {
                 "directory": self.directory,
-                "appended": self._appended,
+                "appended": int(self._appends.value),
                 "segment_seq": self._segment_seq,
                 "segment_bytes": self._segment_bytes,
                 "since_checkpoint": self._since_checkpoint,
@@ -557,19 +555,15 @@ class DeadLetterQueue:
     def __init__(self, journal: WriteAheadJournal | None = None,
                  metrics: MetricsRegistry | None = None):
         self.journal = journal
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._entries: dict[str, dict] = {}
         self._lock = threading.Lock()
-        self._quarantined_total = 0
-        if metrics is not None:
-            metrics.register_collector(self._collect)
         if journal is not None:
             # Re-arm quarantine from the replayed state: a poison job stays
             # poisoned across a broker restart until somebody drains it.
             for sig, record in journal.state.deadletter.items():
                 self._entries[sig] = dict(record)
-
-    def _collect(self, metrics: MetricsRegistry) -> None:
-        metrics.gauge("deadletter_depth").set(self.depth)
+        self.metrics.gauge("deadletter_depth").set_function(lambda: self.depth)
 
     @property
     def depth(self) -> int:
@@ -605,7 +599,7 @@ class DeadLetterQueue:
                     "error": error,
                 }
                 self._entries[sig] = entry
-                self._quarantined_total += 1
+                self.metrics.counter("deadletter_quarantined_total").inc()
             if ticket and ticket not in entry["tickets"]:
                 entry["tickets"].append(ticket)
             entry["crashes"] = max(entry["crashes"], crashes)
@@ -639,7 +633,8 @@ class DeadLetterQueue:
         with self._lock:
             return {
                 "depth": len(self._entries),
-                "quarantined_total": self._quarantined_total,
+                "quarantined_total": int(
+                    self.metrics.total("deadletter_quarantined_total")),
                 "signatures": sorted(
                     (e["world_key"], e["query"]) for e in self._entries.values()
                 ),

@@ -94,19 +94,13 @@ class PriorityScheduler:
         self._seq = itertools.count()
         self._cond = threading.Condition()
         self._closed = False
-        self._pushed = 0
-        self._rejected = 0
-        self._popped = 0
         self._per_shard: dict[str, int] = {}
-        self._pushed_by_priority: dict[int, int] = {}
         self._queued_by_priority: dict[int, int] = {}
-        #: Pops that serviced a band while lower-priority work was queued —
-        #: how often the priority path actually jumped a queue.
-        self._preemptions = 0
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._depth_gauge = self._metrics.gauge("scheduler_queue_depth")
         self._pushed_counter = self._metrics.counter("scheduler_pushed_total")
-        # Per-band wait histograms are created lazily on first pop of a band.
+        # Per-band wait histograms, created on a band's first pop; each pop
+        # observes one, so their counts are the per-band pop totals.
         self._wait_hist: dict[int, Any] = {}
 
     @property
@@ -118,7 +112,8 @@ class PriorityScheduler:
             if self._closed:
                 raise SchedulerClosed("scheduler is closed to new work")
             if self.max_depth is not None and len(self._heap) >= self.max_depth:
-                self._rejected += 1
+                self._metrics.counter("scheduler_rejected_total",
+                                      {"band": str(priority)}).inc()
                 raise SchedulerSaturated(
                     f"scheduler queue is at max depth {self.max_depth}"
                 )
@@ -126,17 +121,13 @@ class PriorityScheduler:
                 self._heap,
                 (-priority, next(self._seq), shard, time.time(), item),
             )
-            self._pushed += 1
             self._per_shard[shard] = self._per_shard.get(shard, 0) + 1
-            self._pushed_by_priority[priority] = (
-                self._pushed_by_priority.get(priority, 0) + 1
-            )
             self._queued_by_priority[priority] = (
                 self._queued_by_priority.get(priority, 0) + 1
             )
             self._depth_gauge.set(len(self._heap))
+            self._pushed_counter.inc()
             self._cond.notify()
-        self._pushed_counter.inc()
 
     def pop(self, timeout: float | None = None) -> Any | None:
         """Next job by priority then arrival; ``None`` on timeout or when the
@@ -148,13 +139,17 @@ class PriorityScheduler:
                 if not self._cond.wait(timeout):
                     return None
             neg_priority, _, shard, enqueued, item = heapq.heappop(self._heap)
-            self._popped += 1
-            self._per_shard[shard] -= 1
             priority = -neg_priority
-            self._queued_by_priority[priority] -= 1
-            if any(count and band < priority
-                   for band, count in self._queued_by_priority.items()):
-                self._preemptions += 1
+            # Drained keys go: live epoch shards are keyed per world
+            # fingerprint, so zero entries would pile up for ever.
+            for counts, key in ((self._per_shard, shard),
+                                (self._queued_by_priority, priority)):
+                counts[key] -= 1
+                if not counts[key]:
+                    del counts[key]
+            if any(band < priority for band in self._queued_by_priority):
+                # The pop jumped lower-priority work still queued.
+                self._metrics.counter("scheduler_preemptions_total").inc()
             self._depth_gauge.set(len(self._heap))
             hist = self._wait_hist.get(priority)
             if hist is None:
@@ -180,21 +175,29 @@ class PriorityScheduler:
         with self._cond:
             return len(self._heap)
 
+    def rejected_by_priority(self) -> dict[int, int]:
+        """Saturation rejections per priority band."""
+        return {int(dict(pairs)["band"]): int(value) for pairs, value
+                in self._metrics.values("scheduler_rejected_total").items()}
+
     def stats(self) -> dict:
         with self._cond:
+            popped = {band: hist.count
+                      for band, hist in self._wait_hist.items()}
+            pushed_by_priority = {
+                band: popped.get(band, 0) + self._queued_by_priority.get(band, 0)
+                for band in sorted(set(popped) | set(self._queued_by_priority))
+            }
             return {
                 "queued": len(self._heap),
-                "pushed": self._pushed,
-                "popped": self._popped,
-                "rejected": self._rejected,
+                "pushed": int(self._pushed_counter.value),
+                "popped": sum(popped.values()),
+                "rejected": sum(self.rejected_by_priority().values()),
                 "max_depth": self.max_depth,
                 "closed": self._closed,
-                "per_shard_queued": {
-                    k: v for k, v in sorted(self._per_shard.items()) if v
-                },
-                "pushed_by_priority": dict(sorted(self._pushed_by_priority.items())),
-                "queued_by_priority": {
-                    k: v for k, v in sorted(self._queued_by_priority.items()) if v
-                },
-                "preemptions": self._preemptions,
+                "per_shard_queued": dict(sorted(self._per_shard.items())),
+                "pushed_by_priority": pushed_by_priority,
+                "queued_by_priority": dict(sorted(self._queued_by_priority.items())),
+                "preemptions": int(self._metrics.total(
+                    "scheduler_preemptions_total")),
             }

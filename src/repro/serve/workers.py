@@ -44,6 +44,7 @@ class WorkerPool:
             raise ValueError("num_workers must be >= 1")
         metrics = metrics if metrics is not None else MetricsRegistry()
         self._claimed_counter = metrics.counter("workerpool_claimed_total")
+        self._active = metrics.gauge("broker_active_jobs")
         self._scheduler = scheduler
         self._handler = handler
         #: ``heartbeat(worker_name)`` fires each claimer-loop iteration —
@@ -55,8 +56,6 @@ class WorkerPool:
         self._drain = False
         self._executor: ThreadPoolExecutor | None = None
         self._futures = []
-        self._active = 0
-        self._active_lock = threading.Lock()
 
     def start(self) -> "WorkerPool":
         if self._executor is not None:
@@ -76,8 +75,7 @@ class WorkerPool:
 
     @property
     def active_jobs(self) -> int:
-        with self._active_lock:
-            return self._active
+        return int(self._active.value)
 
     def join(self) -> None:
         """Block until every worker thread has exited (call after shutdown)."""
@@ -114,10 +112,8 @@ class WorkerPool:
                     return
                 continue
             self._claimed_counter.inc()
-            with self._active_lock:
-                self._active += 1
+            self._active.inc()
             try:
                 self._handler(item, worker_name)
             finally:
-                with self._active_lock:
-                    self._active -= 1
+                self._active.dec()

@@ -168,6 +168,42 @@ def test_kill_worker_moves_backend_respawns_gauge(world):
         broker.shutdown()
 
 
+def test_backend_view_counts_only_live_workers(world):
+    """Kill both workers of a 2-slot pool between rounds: the view reports
+    the live processes only (never a dead pid), worker cache lookups keep
+    accumulating across generations, and the untraced run's per-slot job
+    counts reach the broker's registry."""
+    cables = world.cable_names()[:3]
+    broker = QueryBroker(
+        world, config=ServeConfig(workers=2, backend="process")
+    ).start()
+    try:
+        for q in (QUERY.format(c) for c in cables):
+            broker.result(broker.submit(q), timeout=120)
+        first = broker.stats()["backend"]
+        for index in range(2):
+            broker.backend.kill_worker(index)
+        deadline = time.monotonic() + 60
+        while broker.stats()["backend"]["respawns"] < 2:
+            assert time.monotonic() < deadline, "workers were never respawned"
+            time.sleep(0.01)
+        for q in (QUERY.format(c) for c in cables):
+            broker.result(broker.submit(q), timeout=120)
+        stats = broker.stats()["backend"]
+        alive = sum(slot.process.is_alive() for slot in broker.backend._slots)
+        counters = broker.metrics.snapshot()["counters"]
+    finally:
+        broker.shutdown()
+    assert stats["processes"] == alive <= 2
+    assert set(stats["cache"]) == {"hits", "misses", "evictions", "hit_rate"}
+    assert stats["cache"]["misses"] > first["cache"]["misses"]
+    jobs = {key: value for key, value in counters.items()
+            if key.startswith("worker_jobs_total{")}
+    assert sum(jobs.values()) == 2 * len(cables)
+    assert set(jobs) <= {'worker_jobs_total{slot="0"}',
+                         'worker_jobs_total{slot="1"}'}
+
+
 def test_worker_death_retries_once_on_excluded_slot(world):
     """A job whose worker dies is resubmitted once, excluding the failed
     worker slot, and succeeds elsewhere with retries recorded."""

@@ -167,11 +167,19 @@ def test_process_execute_roundtrip_in_process(campaign_world):
     )
     result, meta = _process_execute(payload)
     assert result.execution.succeeded
-    assert meta["cache"]["misses"] > 0
+    assert _delta(meta, "cache_lookups_total", result="miss") > 0
     # Same payload again: the process-local system and artifact cache serve it.
     again, meta2 = _process_execute(payload)
     assert again.artifact_digest() == result.artifact_digest()
-    assert meta2["cache"]["hits"] > 0
+    assert _delta(meta2, "cache_lookups_total", result="hit") > 0
+    assert _delta(meta2, "worker_jobs_total") == 1
+
+
+def _delta(meta: dict, name: str, **labels) -> float:
+    """A counter family's total in a reply's drained metric deltas, over
+    the rows whose labels include ``labels``."""
+    return sum(delta for row_name, pairs, delta in meta["metrics"]
+               if row_name == name and labels.items() <= dict(pairs).items())
 
 
 def test_process_backend_warm_cache_across_resubmission(campaign_world):

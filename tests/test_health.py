@@ -9,6 +9,7 @@ acceptance path: ``/healthz`` flips from 200 to non-200 within one
 evaluation window of an induced worker crash loop during a live replay.
 """
 
+import functools
 import json
 import os
 import socket
@@ -20,6 +21,8 @@ import urllib.request
 import pytest
 
 from repro.live import EventBus, LiveConfig, run_live_replay
+from repro.live import driver as live_driver
+from repro.live.clock import SimulationClock
 from repro.obs import (
     HEALTH_TOPIC,
     FlightRecorder,
@@ -470,11 +473,18 @@ def _free_port() -> int:
 
 
 @pytest.mark.slow
-def test_live_healthz_flips_on_induced_crash_loop(small_world, tmp_path):
+def test_live_healthz_flips_on_induced_crash_loop(small_world, tmp_path,
+                                                  monkeypatch):
     """During ``run_live_replay`` with ``obs_port``, ``/healthz`` answers
     200 while the replay is healthy and non-200 within one evaluation
     window of an induced worker crash loop (every submitted job kills its
-    worker; the retry crashes too, so the failure-ratio SLO pages)."""
+    worker; the retry crashes too, so the failure-ratio SLO pages).
+
+    The SLO windows run on a clock the test owns, so the breach is judged
+    over exactly the samples the test arranged, not over wall time; and
+    the replay's epoch pacing ends as soon as the test has seen the
+    breach, so the replay lasts as long as the test needs, no longer.
+    """
     port = _free_port()
     broker = QueryBroker(
         small_world,
@@ -482,13 +492,17 @@ def test_live_healthz_flips_on_induced_crash_loop(small_world, tmp_path):
                            flight=True,
                            flight_dir=str(tmp_path)),
     ).start()
-    # Short windows so the breach is observable seconds after the crashes,
-    # not minutes: the acceptance bound is "within one evaluation window".
+    slo_clock = FakeClock(start=0.0)
+    monkeypatch.setattr(live_driver, "SloEngine",
+                        functools.partial(SloEngine, clock=slo_clock))
+    done = threading.Event()
+    monkeypatch.setattr(live_driver, "SimulationClock",
+                        functools.partial(SimulationClock, sleep=done.wait))
     spec = SloSpec(name="job_failure_ratio", metric="broker_jobs_finished_total",
                    labels={"state": "failed"},
                    total_metric="broker_jobs_finished_total", kind="ratio",
                    objective=0.1, severity="page", windows_s=(0.5, 3.0))
-    config = LiveConfig(epochs=300, pace_s=0.1, obs_port=port,
+    config = LiveConfig(epochs=60, pace_s=1.0, obs_port=port,
                         slo_specs=[spec])
     report_box = {}
 
@@ -513,10 +527,13 @@ def test_live_healthz_flips_on_induced_crash_loop(small_world, tmp_path):
         assert status == 200, f"healthy replay answered {status}: {verdict}"
         assert verdict["healthy"] and verdict["engine"]
 
-        # Phase 2: induce the crash loop. Both attempts of every job kill
-        # their worker, so all four settle FAILED and the ratio hits 1.0.
-        # Distinct queries, or the crash-loop circuit breaker would
-        # quarantine the repeated signature instead of letting it fail.
+        # Phase 2: move SLO time past both windows, so each window opens on
+        # a healthy sample, then induce the crash loop. Both attempts of
+        # every job kill their worker, so all four settle FAILED and the
+        # ratio hits 1.0. Distinct queries, or the crash-loop circuit
+        # breaker would quarantine the repeated signature instead of
+        # letting it fail.
+        slo_clock.tick(10.0)
         tickets = [
             broker.submit(f"crash probe {n}", params={FAULT_PARAM: "exit"})
             for n in range(4)
@@ -524,22 +541,16 @@ def test_live_healthz_flips_on_induced_crash_loop(small_world, tmp_path):
         for ticket in tickets:
             job = broker.wait(ticket, timeout=300)
             assert job.state is JobState.FAILED
-        deadline = time.time() + 30
-        saw_breach = False
-        while time.time() < deadline:
-            status, verdict = _get(f"http://127.0.0.1:{port}/healthz")
-            if status == 503:
-                saw_breach = True
-                breached = [s["name"] for s in verdict["slos"]
-                            if not s["healthy"]]
-                assert breached == ["job_failure_ratio"]
-                break
-            time.sleep(0.05)
-        assert saw_breach, "/healthz never went non-200 after the crash loop"
+        # The next evaluation judges the windows: one request, no polling.
+        status, verdict = _get(f"http://127.0.0.1:{port}/healthz")
+        assert status == 503, f"crash loop answered {status}: {verdict}"
+        breached = [s["name"] for s in verdict["slos"] if not s["healthy"]]
+        assert breached == ["job_failure_ratio"]
         # The page-severity breach also dumped a postmortem.
         assert any("slo-page" in os.path.basename(p)
                    for p in broker.flight.dump_paths())
     finally:
+        done.set()  # stop pacing: the remaining epochs run flat out
         thread.join(timeout=300)
     assert thread.is_alive() is False
     report = report_box["report"]

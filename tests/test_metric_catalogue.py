@@ -56,7 +56,22 @@ EXPECTED = {
 
 #: Series added after the pin was taken, per run; each is named in the
 #: change log of the change that added it.
-ADDED: dict[str, set] = {run: set() for run in EXPECTED}
+_CACHE_COUNTERS = {
+    ("cache_evictions_total", "counter", ("scope",)),
+    ("cache_lookups_total", "counter", ("result", "scope", "stage")),
+}
+ADDED: dict[str, set] = {
+    "thread-campaign": _CACHE_COUNTERS,
+    "process-kill": _CACHE_COUNTERS | {
+        ("backend_deadline_kills_total", "counter", ()),
+        ("backend_dispatched_total", "counter", ()),
+        ("backend_inline_results_total", "counter", ()),
+        ("worker_jobs_total", "counter", ("slot",)),
+    },
+    "journal-quarantine": _CACHE_COUNTERS | {
+        ("deadletter_quarantined_total", "counter", ()),
+    },
+}
 
 
 def catalogue(snapshot: dict) -> set:

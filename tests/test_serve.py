@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.serve import (
     ArtifactCache,
     BrokerError,
@@ -72,13 +73,22 @@ def test_cache_lru_eviction():
     assert cache.stats()["evictions"] == 1
 
 
-def test_cache_reset_stats_keeps_entries():
-    cache = ArtifactCache()
+def test_cache_counts_into_registry_by_scope():
+    """Lookups land in the given registry under the cache's scope, and the
+    hit-rate and entries gauges are derived from the same state."""
+    registry = MetricsRegistry()
+    cache = ArtifactCache(metrics=registry, scope="workers")
     cache.store("s", {"k": 1}, {"v": 1})
-    cache.fetch("s", {"k": 1})
-    cache.reset_stats()
-    assert cache.stats()["hits"] == 0
     assert cache.fetch("s", {"k": 1}) == {"v": 1}
+    cache.fetch("s", {"k": 2})
+    counters = registry.snapshot()["counters"]
+    assert counters[
+        'cache_lookups_total{result="hit",scope="workers",stage="s"}'] == 1.0
+    assert counters[
+        'cache_lookups_total{result="miss",scope="workers",stage="s"}'] == 1.0
+    assert registry.gauge("cache_hit_rate", {"scope": "workers"}).value == 0.5
+    assert registry.gauge("cache_entries", {"scope": "workers"}).value == 1.0
+    assert cache.stats()["hits"] == 1 and cache.stats()["entries"] == 1
 
 
 # -- scheduler --------------------------------------------------------------
@@ -122,6 +132,11 @@ def test_scheduler_per_shard_stats():
     scheduler.push("b", shard="w1")
     scheduler.push("c", shard="w2")
     assert scheduler.stats()["per_shard_queued"] == {"w1": 2, "w2": 1}
+    assert [scheduler.pop(timeout=1) for _ in range(3)] == ["a", "b", "c"]
+    # A drained shard leaves no zero entry behind: live epoch shards are
+    # keyed per world fingerprint, so the map would otherwise only grow.
+    assert scheduler.stats()["per_shard_queued"] == {}
+    assert scheduler._per_shard == {}
 
 
 def test_scheduler_priority_band_stats():
@@ -406,10 +421,13 @@ def test_campaign_resubmission_is_mostly_cache_hits(world):
         jobs = [CampaignJob(query=CS1, tag="a"),
                 CampaignJob(query=CS1_FALCON, tag="b")]
         run_campaign(broker, jobs, timeout=60)
-        broker.cache.reset_stats()
+        before = broker.cache.stats()
         report = run_campaign(broker, jobs, timeout=60)
+        after = broker.cache.stats()
     assert report.succeeded == 2
-    assert broker.cache.stats()["hit_rate"] >= 0.9
+    hits = after["hits"] - before["hits"]
+    misses = after["misses"] - before["misses"]
+    assert hits / (hits + misses) >= 0.9
 
 
 def test_campaign_accepts_explicit_job_list(world):
@@ -563,7 +581,6 @@ def test_broker_cache_survives_restart_via_spill(world, tmp_path):
 
     with QueryBroker(world, config=ServeConfig(workers=2)) as broker:
         broker.cache.load(path)
-        broker.cache.reset_stats()
         assert broker.result(broker.submit(CS1), timeout=60).execution.succeeded
         stats = broker.cache.stats()
     # All three deterministic agent stages were warm on the "restarted" broker.
