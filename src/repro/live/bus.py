@@ -133,19 +133,13 @@ class EventBus:
             sub._offer(item)
         return len(subs)
 
-    def _published(self) -> dict[str, int]:
-        return {dict(pairs)["topic"]: int(value) for pairs, value
-                in self._metrics.values("bus_published_total").items()}
-
-    def topics(self) -> list[str]:
-        with self._lock:
-            return sorted(set(self._subs) | set(self._published()))
-
     def stats(self) -> dict:
         with self._lock:
             subs = [s for group in self._subs.values() for s in group]
+        published = self._metrics.values("bus_published_total")
         return {
-            "published": self._published(),
+            "published": {dict(pairs)["topic"]: int(value)
+                          for pairs, value in published.items()},
             "subscribers": [s.stats() for s in subs],
             "dropped_total": sum(s.dropped for s in subs),
         }

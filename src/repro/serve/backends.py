@@ -938,7 +938,6 @@ class ProcessPoolBackend(ExecutionBackend):
             processes = sum(1 for slot in self._slots if slot.process is not None
                             and slot.process.is_alive())
         cache = cache_counts(self.metrics, "workers")
-        del cache["per_stage"]
         return {
             "backend": self.name,
             "workers": self.num_workers,

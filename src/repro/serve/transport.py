@@ -47,6 +47,10 @@ DEFAULT_SHM_MIN_BYTES = 64 * 1024
 _SEQ = itertools.count(1)
 
 
+def shm_available() -> bool:
+    return shared_memory is not None
+
+
 def _unregister_from_tracker(shm) -> None:
     """The producer never unlinks; stop its resource tracker from warning
     about (or worse, reaping) a segment the consumer still owns."""

@@ -1,5 +1,6 @@
 """Serve subsystem: broker, scheduler, workers, cache, campaigns, provenance."""
 
+import sys
 import threading
 import time
 
@@ -178,6 +179,39 @@ def test_worker_pool_processes_all_items():
         scheduler.push(i)
     pool.shutdown(wait=True, drain=True)
     assert sorted(seen) == list(range(20))
+
+
+def test_registry_views_lose_no_update_under_contention():
+    """Eight claimer threads on two cores, with a tiny switch interval so
+    threads interleave inside every increment: the registry-backed views
+    still balance exactly (pushed == popped == claimed == lookups, and no
+    job is left counted as active)."""
+    registry = MetricsRegistry()
+    scheduler = PriorityScheduler(metrics=registry)
+    cache = ArtifactCache(metrics=registry)
+    cache.store("s", {"k": 0}, {"v": 0})
+
+    def handler(item, worker):
+        for _ in range(100):
+            cache.fetch("s", {"k": item % 2})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = WorkerPool(scheduler, handler, num_workers=8,
+                          metrics=registry).start()
+        for i in range(400):
+            scheduler.push(i, priority=i % 3, shard=f"w{i % 5}")
+        pool.shutdown(wait=True, drain=True)
+    finally:
+        sys.setswitchinterval(interval)
+    stats = scheduler.stats()
+    assert stats["pushed"] == stats["popped"] == 400
+    assert stats["per_shard_queued"] == {} and scheduler._per_shard == {}
+    assert registry.counter("workerpool_claimed_total").value == 400
+    assert pool.active_jobs == 0
+    lookups = cache.stats()
+    assert (lookups["hits"], lookups["misses"]) == (20000, 20000)
 
 
 def test_worker_pool_drain_false_abandons_queue():
