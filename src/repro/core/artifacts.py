@@ -15,6 +15,15 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 
+def canonical_json(value) -> str:
+    """The text every digest is taken over: sorted keys, no whitespace,
+    non-JSON values rendered with ``str``.  Artifacts are trees, so the
+    encoder's cycle check is skipped (6–9% of a case-4 step digest);
+    a cyclic value still fails, with ``RecursionError``."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=str,
+                      check_circular=False)
+
+
 class ProblemKind(str, Enum):
     """The reasoning category of a sub-problem (drives capability matching)."""
 
@@ -343,6 +352,27 @@ class GeneratedSolution:
         )
 
 
+@dataclass(frozen=True)
+class StepRef:
+    """A step output left behind in the process that computed it: the
+    sha256 of its canonical JSON and that text's size in bytes.
+
+    Served process-backend results carry each step at or above
+    :data:`repro.serve.backends.STEP_REF_MIN_BYTES` this way; the answer
+    (``outputs["final"]``) and every smaller step stay whole values.
+    """
+
+    digest: str
+    nbytes: int
+
+    @classmethod
+    def of(cls, value) -> "StepRef":
+        if isinstance(value, StepRef):
+            return value
+        text = canonical_json(value).encode("utf-8")
+        return cls(hashlib.sha256(text).hexdigest(), len(text))
+
+
 @dataclass
 class ExecutionOutcome:
     """Result of actually running the generated solution."""
@@ -351,6 +381,20 @@ class ExecutionOutcome:
     outputs: dict = field(default_factory=dict)
     quality_report: dict = field(default_factory=dict)
     error: str = ""
+    #: Memo of :meth:`step_refs`; travels with the outcome, never rendered.
+    _step_refs: dict | None = field(default=None, init=False, repr=False,
+                                    compare=False)
+
+    def step_refs(self) -> dict[str, StepRef] | None:
+        """``{step id: StepRef}`` over ``outputs["results"]``, each step
+        encoded at most once per outcome; ``None`` when the results are
+        not a step map (a failed run has none)."""
+        results = self.outputs.get("results")
+        if not isinstance(results, dict):
+            return None
+        if self._step_refs is None:
+            self._step_refs = {sid: StepRef.of(value) for sid, value in results.items()}
+        return self._step_refs
 
     def to_dict(self) -> dict:
         return {
@@ -441,11 +485,19 @@ class PipelineResult:
         }
 
     def artifact_digest(self) -> str:
-        """Content hash over the artifacts alone — every deterministic output,
-        excluding the stage trace (whose durations and cache-hit flags vary
-        by run and by execution backend).  Two runs of the same job through
-        any backend must produce the same digest."""
+        """Root content hash over the artifacts alone — every deterministic
+        output, excluding the stage trace (whose durations and cache-hit
+        flags vary by run and by execution backend).  Step outputs enter
+        as their :meth:`ExecutionOutcome.step_refs` digests, so a step held
+        as a :class:`StepRef` hashes like its value and a drift can be
+        traced to the step.  Two runs of the same job through any backend
+        must produce the same digest."""
         material = self.to_dict()
         material.pop("stage_trace")
-        canonical = json.dumps(material, sort_keys=True, separators=(",", ":"), default=str)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        refs = self.execution.step_refs()
+        if refs is not None:
+            material["execution"]["outputs"] = {
+                **self.execution.outputs,
+                "results": {sid: ref.digest for sid, ref in refs.items()},
+            }
+        return hashlib.sha256(canonical_json(material).encode("utf-8")).hexdigest()

@@ -13,8 +13,9 @@ package is the single place all of that lands:
   plane a few attribute checks when tracing is off.
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges and log-bucketed histograms, the one store behind the serve and
-  bus ``stats()`` views (scheduler depth, worker respawns, shm transport,
-  cache economics, bus drops, forensic latency) and the Prometheus dump.
+  bus ``stats()`` views (scheduler depth, worker respawns, dispatch
+  counts, cache economics, bus drops, forensic latency) and the
+  Prometheus dump.
 * :mod:`repro.obs.health` — the :class:`SloEngine` *consumes* the
   registry: declarative :class:`SloSpec` objectives judged over sliding
   windows with multi-window burn-rate alerting, breaches published as

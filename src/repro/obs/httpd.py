@@ -10,7 +10,8 @@ expose its health and state as a network interface, not a log file.
 ``/healthz``        aggregate SLO verdict (JSON); **non-200 on breach**
 ``/debug/flight``   trigger a flight-recorder dump and return it inline
 ``/debug/broker``   ``broker.stats()`` — scheduler depths, backend
-                    respawns and transport mix, per-band counters — as JSON
+                    respawns and dispatch counts, per-band counters — as
+                    JSON
 ``/debug/deadletter``  the poison-job dead-letter queue: every
                     quarantined (world, query) signature with its crash
                     history, as JSON

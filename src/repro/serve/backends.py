@@ -6,26 +6,29 @@ decides what happens to a claimed job:
 * :class:`ThreadPoolBackend` — run the pipeline in the claiming thread
   against the shard's shared in-process system.  Right when hosted-LLM
   round-trip latency dominates: threads overlap the waits, artifacts stay
-  in shared memory, and the broker-wide :class:`ArtifactCache` is shared.
+  whole in the broker's memory, and the broker-wide
+  :class:`ArtifactCache` is shared.
 * :class:`ProcessPoolBackend` — an execution plane over explicit
   preforked worker processes.  Right when generated-code execution is
   CPU-bound: each process escapes the GIL and holds a process-local
   world/system/artifact cache.  Each job goes to the least-loaded worker
   as a small ``(query, params)`` delta against a :class:`JobPayload`
   template shipped once per worker per shard, and comes back as one
-  reply; results at or above :data:`transport.DEFAULT_SHM_MIN_BYTES`
-  move through :mod:`multiprocessing.shared_memory` segments instead of
-  the reply pipe (see :mod:`repro.serve.transport`).  Workers prefork
-  with every already-registered world preloaded so first jobs land on
-  warm state.
+  answer-sized reply: the worker digests every step output and ships
+  each step of :data:`STEP_REF_MIN_BYTES` or more as a
+  :class:`~repro.core.artifacts.StepRef` (its digest and size), so the
+  bulk rows a workflow computes on the way never leave the worker.
+  Workers prefork with every already-registered world preloaded so
+  first jobs land on warm state.
 
   A worker process that dies mid-job is respawned by a monitor thread;
   its in-flight jobs surface as :class:`WorkerCrashed` so the broker can
   retry them on a different worker.
 
-Both backends produce byte-identical artifacts for the same job: the
-pipeline is deterministic in (query, params, world config, registry), which
-the payload carries in full — fingerprints are verified worker-side so a
+Both backends produce the same artifact digest for the same job, and
+byte-identical artifacts apart from the step references: the pipeline is
+deterministic in (query, params, world config, registry), which the
+payload carries in full — fingerprints are verified worker-side so a
 hand-mutated world or unrebuildable registry fails loudly instead of
 silently serving answers about a different Internet.
 """
@@ -45,11 +48,10 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from multiprocessing import connection
 
-from repro.core.artifacts import PipelineResult
+from repro.core.artifacts import ExecutionOutcome, PipelineResult
 from repro.core.pipeline import ArachNet
 from repro.core.registry import default_registry
 from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
-from repro.serve import transport
 from repro.serve.cache import ArtifactCache, cache_counts, export_hit_rate
 from repro.serve.scheduler import WorldShard
 from repro.synth.scenarios import LatencyIncident
@@ -64,6 +66,12 @@ BACKEND_NAMES = ("thread", "process")
 #: ``{"_serve_fault": {"sleep_s": 0.5}}`` delays execution to build queue
 #: depth deterministically.
 FAULT_PARAM = "_serve_fault"
+
+#: A process worker replaces each step output whose canonical JSON is at
+#: least this many bytes with its :class:`StepRef`.  The case-study
+#: answers and every small step stay whole; the campaign rows, latency
+#: series and path tables that dominate a result do not cross the pipe.
+STEP_REF_MIN_BYTES = 16 * 1024
 
 
 class BackendError(RuntimeError):
@@ -217,15 +225,33 @@ def _worker_obs() -> tuple:
     return obs
 
 
+def _leave_bulk_steps(execution: ExecutionOutcome) -> None:
+    """Digest every step, then swap each bulk step for its reference.
+
+    The digests stay memoised on the outcome, so the broker's
+    ``artifact_digest()`` only hashes the small root material.
+    """
+    refs = execution.step_refs()
+    if refs:
+        results = execution.outputs["results"]
+        execution.outputs["results"] = {
+            sid: ref if ref.nbytes >= STEP_REF_MIN_BYTES else results[sid]
+            for sid, ref in refs.items()
+        }
+
+
 def _process_execute(payload: JobPayload,
                      worker_index: int = 0) -> tuple[PipelineResult, dict]:
-    """Runs in the worker process: answer the query.
+    """Runs in the worker process: answer the query and leave its bulk
+    steps behind (:func:`_leave_bulk_steps`).
 
     The reply meta carries this process's drained metric deltas (job
     count, cache lookups) on every job.  With a trace context on the
     payload the run is also wrapped in a ``worker.execute`` span parented
     under the broker's dispatch span, and the meta carries the drained
     span records — observability rides the reply pipes, no extra IPC.
+    The step digests run inside that span: they are worker time, not
+    transport.
     """
     system = _worker_system(payload)
     tracer, registry = _worker_obs()
@@ -236,9 +262,11 @@ def _process_execute(payload: JobPayload,
                          slot=worker_index) as span:
             result = system.answer(payload.query, params=payload.params,
                                    tracer=tracer, trace_parent=span)
+            _leave_bulk_steps(result.execution)
         meta["spans"] = tracer.drain()
     else:
         result = system.answer(payload.query, params=payload.params)
+        _leave_bulk_steps(result.execution)
     meta["metrics"] = registry.drain_deltas()
     return result, meta
 
@@ -290,7 +318,9 @@ def _run_one(index, templates, row) -> tuple:
         payload = dataclasses.replace(template, query=query, params=params,
                                       trace=trace)
         result, meta = _process_execute(payload, worker_index=index)
-        return (job_id, True, transport.encode(result), meta)
+        # Pickled here, inside the try: an unpicklable result fails its
+        # job instead of the worker process.
+        return (job_id, True, pickle.dumps(result, protocol=5), meta)
     except Exception as exc:  # shipped back and re-raised broker-side
         meta = {"pid": os.getpid(), "metrics": _worker_obs()[1].drain_deltas()}
         return (job_id, False, _encode_exception(exc), meta)
@@ -373,8 +403,6 @@ class ExecutionBackend:
         # no workers), so dashboards read one shape whatever the backend.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._respawns = self.metrics.gauge("backend_respawns")
-        self._shm_bytes = self.metrics.gauge("backend_shm_bytes")
-        self._shm_results = self.metrics.gauge("backend_shm_results")
         export_hit_rate(self.metrics, "workers")
 
     def start(self) -> "ExecutionBackend":
@@ -455,8 +483,7 @@ class ProcessPoolBackend(ExecutionBackend):
     Explicit worker processes (not a :class:`multiprocessing.Pool`): each
     slot owns a request queue, so the dispatcher controls *which* process
     a job lands on — the least-loaded one that a retry has not excluded.
-    A collector thread multiplexes every worker's *private* reply pipe
-    (decoding shared-memory payloads, see :mod:`repro.serve.transport`),
+    A collector thread multiplexes every worker's *private* reply pipe,
     and a monitor thread respawns dead workers and fails their in-flight
     jobs with :class:`WorkerCrashed` so the broker can retry them
     elsewhere.
@@ -503,9 +530,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self._templates: dict[str, JobPayload] = {}
         self._futures: dict[int, Future] = {}
         self._job_ids = itertools.count(1)
-        #: Reply pipes of dead worker generations, drained to EOF by the
-        #: collector so raced-in results are released, never leaked.
-        self._retired_pipes: list = []
         self._wake_r = None
         self._wake_w = None
         self._threads: list[threading.Thread] = []
@@ -558,11 +582,10 @@ class ProcessPoolBackend(ExecutionBackend):
         """Reset a slot for a fresh process (callers hold the lock after
         start).  Dispatch keeps working immediately: jobs sent to the new
         request queue wait in its pipe until the process comes up.  The
-        old generation's reply pipe is retired, not dropped — the collector
-        drains it to EOF so results that raced the death are released."""
+        old generation's reply pipe is dropped: its jobs were already
+        failed as crashed, so a reply that raced the death has no taker.
+        It closes once the collector's current wait lets go of it."""
         slot.request_q = self._ctx.SimpleQueue()
-        if slot.reply_r is not None:
-            self._retired_pipes.append(slot.reply_r)
         slot.reply_r, slot.reply_w = self._ctx.Pipe(duplex=False)
         slot.templates_sent = set()
         slot.process = None
@@ -717,29 +740,15 @@ class ProcessPoolBackend(ExecutionBackend):
         A reader per writer means no cross-process reply lock exists to be
         poisoned by a SIGKILL; a worker that dies mid-write surfaces as
         EOF (its fd has no other holders) and its in-flight jobs are the
-        monitor's to fail.  Retired pipes — prior generations of respawned
-        slots — are drained to EOF so results that raced the death are
-        released rather than leaking their shared-memory segments.
+        monitor's to fail.
         """
         while True:
             with self._lock:
-                # Purge pipes closed by a drain that raced slot retirement;
-                # waiting on a closed fd would raise forever.
-                self._retired_pipes = [
-                    c for c in self._retired_pipes if not c.closed
-                ]
-                readers = {
-                    slot.reply_r: False  # conn -> is_retired
-                    for slot in self._slots
-                    if slot.reply_r is not None and not slot.reply_r.closed
-                }
-                for conn in self._retired_pipes:
-                    readers[conn] = True
+                readers = [slot.reply_r for slot in self._slots
+                           if slot.reply_r is not None and not slot.reply_r.closed]
             try:
-                ready = connection.wait(
-                    list(readers) + [self._wake_r], timeout=0.2
-                )
-            except (OSError, ValueError):  # a pipe retired mid-wait
+                ready = connection.wait(readers + [self._wake_r], timeout=0.2)
+            except (OSError, ValueError):  # a pipe closed mid-wait
                 continue
             stop = False
             for conn in ready:
@@ -750,19 +759,18 @@ class ProcessPoolBackend(ExecutionBackend):
                         pass
                     stop = self._stop.is_set()
                     continue
-                self._drain_pipe(conn, retired=readers[conn])
+                self._drain_pipe(conn)
             if stop:
                 # Final sweep: every worker has exited (or been killed);
                 # their pipes hold only complete messages then EOF.
                 with self._lock:
-                    leftovers = ([s.reply_r for s in self._slots
-                                  if s.reply_r is not None]
-                                 + list(self._retired_pipes))
+                    leftovers = [s.reply_r for s in self._slots
+                                 if s.reply_r is not None]
                 for conn in leftovers:
-                    self._drain_pipe(conn, retired=True)
+                    self._drain_pipe(conn)
                 return
 
-    def _drain_pipe(self, conn, retired: bool) -> None:
+    def _drain_pipe(self, conn) -> None:
         """Consume every complete message on one reply pipe, closing it on
         EOF.  A live slot's pipe is detached from its slot when it EOFs —
         drained empty, it can carry nothing more, and leaving it in the
@@ -779,16 +787,11 @@ class ProcessPoolBackend(ExecutionBackend):
                 except OSError:  # pragma: no cover
                     pass
                 with self._lock:
-                    if retired:
-                        if conn in self._retired_pipes:
-                            self._retired_pipes.remove(conn)
-                    else:
-                        for slot in self._slots:
-                            if slot.reply_r is conn:
-                                # The monitor's _prepare_slot skips the
-                                # retire step for a None pipe and builds a
-                                # fresh one for the respawn.
-                                slot.reply_r = None
+                    for slot in self._slots:
+                        if slot.reply_r is conn:
+                            # The monitor's _prepare_slot builds a fresh
+                            # pipe for the respawn.
+                            slot.reply_r = None
                 return
             self._handle_reply(message)
 
@@ -805,21 +808,15 @@ class ProcessPoolBackend(ExecutionBackend):
             self.tracer.ingest(spans)
         self.metrics.absorb(meta["metrics"])
         if ok:
-            if blob[0] == "shm":
-                self._shm_results.inc()
-                self._shm_bytes.inc(blob[2] + sum(blob[3]))
-            else:
-                self._inline_results.inc()
+            self._inline_results.inc()
         with self._lock:
             self._slots[index].inflight.pop(job_id, None)
             future = self._futures.pop(job_id, None)
         if future is None:
-            if ok:  # nobody will decode it; reclaim the segment
-                transport.release(blob)
             return
         if ok:
             try:
-                future.set_result(transport.decode(blob))
+                future.set_result(pickle.loads(blob))
             except Exception as exc:  # pragma: no cover - defensive
                 future.set_exception(BackendError(
                     f"failed to decode worker result: {exc}"
@@ -946,8 +943,6 @@ class ProcessPoolBackend(ExecutionBackend):
             "respawns": int(self._respawns.value),
             "dispatch": {
                 "jobs": int(self._dispatched.value),
-                "shm_results": int(self._shm_results.value),
-                "shm_bytes": int(self._shm_bytes.value),
                 "inline_results": int(self._inline_results.value),
             },
             "deadline": {

@@ -3,7 +3,7 @@
 The threads are *claimers*, not necessarily where pipelines run: each one
 pops one job and hands it to the broker's :class:`ExecutionBackend` — the
 thread backend runs it in place (ideal when hosted-LLM round-trip latency
-dominates; threads overlap the waits and artifacts stay in shared memory),
+dominates; threads overlap the waits and artifacts stay in the broker process),
 while the process backend blocks the thread on an out-of-process worker so
 CPU-bound generated code escapes the GIL.  A claimer takes its next job
 only when the last one settles, so a high-priority submission waits for a

@@ -1,7 +1,6 @@
-"""The process backend's execution plane: shared-memory transport
-lifecycle, warm worker caches, crash retry, and epoch-shard retention."""
+"""The process backend's execution plane: warm worker caches, crash
+retry, and epoch-shard retention."""
 
-import os
 import time
 
 import pytest
@@ -9,7 +8,6 @@ import pytest
 from repro.live.clock import EpochState
 from repro.live.standing import StandingQuery, StandingQueryManager
 from repro.serve import BrokerError, JobState, QueryBroker, ServeConfig
-from repro.serve import transport
 from repro.serve.backends import FAULT_PARAM
 from repro.synth.world import WorldConfig, build_world
 
@@ -19,78 +17,6 @@ QUERY = "Identify the impact at a country level due to {} cable failure"
 @pytest.fixture(scope="module")
 def world():
     return build_world(WorldConfig())
-
-
-def _leaked_segments():
-    try:
-        return [f for f in os.listdir("/dev/shm")
-                if f.startswith(f"{transport.SEGMENT_PREFIX}-")]
-    except FileNotFoundError:  # non-Linux: lifecycle covered by decode tests
-        return []
-
-
-# -- transport ---------------------------------------------------------------
-
-
-@pytest.fixture
-def force_shm(monkeypatch):
-    """Every payload, however small, takes the shared-memory path."""
-    monkeypatch.setattr(transport, "DEFAULT_SHM_MIN_BYTES", 0)
-
-
-def test_transport_inline_roundtrip():
-    obj = {"rows": list(range(50)), "blob": b"x" * 64}
-    message = transport.encode(obj)
-    assert message[0] == "inline"
-    assert transport.decode(message) == obj
-
-
-def test_transport_shm_roundtrip_large_artifact():
-    """A large artifact (out-of-band bytearray buffer) moves through one
-    shared-memory segment and the decode consumes — unlinks — it."""
-    obj = {"kind": "artifact", "payload": bytearray(b"\xab" * 300_000)}
-    message = transport.encode(obj)  # above the threshold: the shm path
-    assert message[0] == "shm"
-    assert not _leaked_segments() or message[1] in _leaked_segments()
-    out = transport.decode(message)
-    assert out == obj
-    assert message[1] not in _leaked_segments()
-    # Double-decode must fail loudly, not resurrect freed memory.
-    with pytest.raises(Exception):
-        transport.decode(message)
-
-
-def test_transport_release_unlinks_undecoded_segment(force_shm):
-    message = transport.encode({"x": bytes(20)})
-    assert message[0] == "shm"
-    transport.release(message)
-    assert message[1] not in _leaked_segments()
-    transport.release(message)  # idempotent
-
-
-# -- end-to-end shared-memory lifecycle --------------------------------------
-
-
-def test_campaign_over_shm_leaves_no_segments(world, force_shm):
-    """Every result forced through shared memory: byte-identical outcomes,
-    zero segments left after the campaign and after shutdown.  The patched
-    threshold is in place before ``start`` forks the workers, which inherit
-    it."""
-    queries = [QUERY.format(name) for name in world.cable_names()[:3]]
-    broker = QueryBroker(
-        world, config=ServeConfig(workers=2, backend="process"),
-    ).start()
-    try:
-        tickets = [broker.submit(q) for q in queries]
-        results = [broker.result(t, timeout=120) for t in tickets]
-        assert all(r.execution.succeeded for r in results)
-        stats = broker.stats()["backend"]
-        assert stats["dispatch"]["shm_results"] == len(queries)
-        assert stats["dispatch"]["inline_results"] == 0
-        assert _leaked_segments() == []
-    finally:
-        broker.shutdown()
-    assert _leaked_segments() == []
 
 
 # -- warm worker caches ------------------------------------------------------

@@ -1,11 +1,16 @@
-"""Execution backends: thread/process parity, payload validation, stats."""
+"""Execution backends: thread/process parity, payload validation, stats,
+answer-sized process replies."""
 
 import functools
+import hashlib
 import json
+import pickle
 
 import pytest
 
+from repro.core.artifacts import StepRef, canonical_json
 from repro.core.llm.simulated import SimulatedHostedLLM
+from repro.evalharness.casestudies import CASE_QUERIES
 from repro.serve import (
     BackendError,
     CampaignJob,
@@ -17,7 +22,8 @@ from repro.serve import (
     build_backend,
     run_campaign,
 )
-from repro.serve.backends import _process_execute, _worker_system
+from repro.serve.backends import STEP_REF_MIN_BYTES, _process_execute, _worker_system
+from repro.serve.campaign import CampaignSpec
 from repro.synth.scenarios import make_latency_incident
 from repro.synth.world import WorldConfig, build_world
 
@@ -210,3 +216,107 @@ def test_backend_shutdown_is_idempotent(campaign_world):
     ).start()
     broker.shutdown()
     broker.shutdown()  # second shutdown must be a no-op
+
+
+# -- answer-sized results ----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def golden_world():
+    return build_world(WorldConfig(seed=7))
+
+
+def _serve_all(world, backend, jobs):
+    """``{tag: result}`` for ``(tag, query, world key)`` jobs on one broker
+    with a default shard and an incident shard for case 4."""
+    broker = QueryBroker(world, config=ServeConfig(workers=2, backend=backend))
+    broker.add_world("case4", world,
+                     incidents=[make_latency_incident(world, "SeaMeWe-5")])
+    broker.start()
+    try:
+        tickets = {tag: broker.submit(query, world_key=key)
+                   for tag, query, key in jobs}
+        return {tag: broker.result(ticket, timeout=300)
+                for tag, ticket in tickets.items()}
+    finally:
+        broker.shutdown()
+
+
+def test_bulk_steps_cross_the_process_boundary_as_refs(golden_world, monkeypatch):
+    """A process reply carries each step of ``STEP_REF_MIN_BYTES`` or more
+    as a :class:`StepRef` whose digest is the thread backend's value's;
+    smaller steps and the answer stay whole, root digests agree with the
+    thread backend and the goldens, and every reply for the four case
+    queries and the 26-job campaign stays under 64 KiB."""
+    from tests.test_golden import GOLDEN_CAMPAIGN_DIGESTS, GOLDEN_CASE_DIGESTS
+
+    cases = [(f"case:{case}", CASE_QUERIES[case], "case4" if case == 4 else "default")
+             for case in sorted(CASE_QUERIES)]
+    campaign = [(job.tag, job.query, "default") for job in
+                CampaignSpec.for_world(golden_world, cascades=True).expand()]
+    golden = {**{f"case:{c}": d for c, d in GOLDEN_CASE_DIGESTS.items()},
+              **GOLDEN_CAMPAIGN_DIGESTS}
+    replies = []
+    handle = ProcessPoolBackend._handle_reply
+
+    def measured(self, message):
+        replies.append(len(pickle.dumps(message, protocol=5)))
+        handle(self, message)
+
+    monkeypatch.setattr(ProcessPoolBackend, "_handle_reply", measured)
+    served = _serve_all(golden_world, "process", cases + campaign)
+    assert len(replies) == len(cases) + len(campaign)
+    assert max(replies) < 64 * 1024
+    for tag, result in served.items():
+        assert result.execution.succeeded, tag
+        assert result.artifact_digest() == golden[tag], tag
+
+    bulky = [job for job in cases + campaign if job[0] in ("case:4", "cascade:Europe-Asia")]
+    threaded = _serve_all(golden_world, "thread", bulky)
+    for tag, _query, _key in bulky:
+        values = threaded[tag].execution.outputs["results"]
+        shipped = served[tag].execution.outputs["results"]
+        assert shipped.keys() == values.keys()
+        refs = 0
+        for sid, value in values.items():
+            assert not isinstance(value, StepRef)
+            text = canonical_json(value).encode("utf-8")
+            if len(text) >= STEP_REF_MIN_BYTES:
+                refs += 1
+                assert shipped[sid] == StepRef(hashlib.sha256(text).hexdigest(),
+                                               len(text)), (tag, sid)
+            else:
+                assert shipped[sid] == value, (tag, sid)
+        assert refs >= 3, tag
+        assert served[tag].execution.outputs["final"] == threaded[tag].execution.outputs["final"]
+        assert served[tag].artifact_digest() == threaded[tag].artifact_digest()
+
+
+def test_one_step_encoding_per_result(campaign_world, tmp_path, monkeypatch):
+    """A journaled settle and two later ``artifact_digest()`` calls encode
+    each step output's canonical JSON once: the step digests are memoised
+    on the outcome."""
+    from repro.core import artifacts
+
+    encoded = []
+    encode = artifacts.canonical_json
+
+    def counting(value):
+        encoded.append(value)
+        return encode(value)
+
+    monkeypatch.setattr(artifacts, "canonical_json", counting)
+    broker = QueryBroker(campaign_world, config=ServeConfig(
+        workers=1, backend="thread", journal_dir=str(tmp_path / "wal"))).start()
+    try:
+        ticket = broker.submit(
+            "Identify the impact at a country level due to SeaMeWe-5 cable failure")
+        result = broker.result(ticket, timeout=120)
+        digest = result.artifact_digest()
+        assert result.artifact_digest() == digest
+    finally:
+        broker.shutdown()
+    steps = result.execution.outputs["results"]
+    assert len(steps) >= 3
+    for sid, value in steps.items():
+        assert sum(1 for arg in encoded if arg is value) == 1, sid

@@ -1,6 +1,6 @@
 """Chaos testing: worker processes die at adversarial moments and the
-serve plane must absorb it — retry-once provenance, no hung broker, no
-leaked shared-memory segments, and the surviving pool still serves.
+serve plane must absorb it — retry-once provenance, no hung broker, and
+the surviving pool still serves.
 
 These are marked ``chaos``: CI runs them in their own lane
 (``-m "chaos or slow"``) so the default tier-1 lane stays fast.
@@ -13,7 +13,6 @@ import time
 import pytest
 
 from repro.serve import QueryBroker, ServeConfig, JobState
-from repro.serve import transport
 from repro.serve.backends import FAULT_PARAM
 from repro.synth.world import WorldConfig, build_world
 
@@ -24,14 +23,6 @@ QUERY = "Identify the impact at a country level due to {} cable failure"
 def chaos_world():
     return build_world(WorldConfig(seed=3, tier1_count=6, tier2_per_region=2,
                                    edge_density=0.5))
-
-
-def _leaked_segments():
-    try:
-        return [f for f in os.listdir("/dev/shm")
-                if f.startswith(f"{transport.SEGMENT_PREFIX}-")]
-    except FileNotFoundError:  # non-Linux: lifecycle covered by decode tests
-        return []
 
 
 def _slow_params(seconds: float) -> dict:
@@ -68,7 +59,6 @@ def test_kill_worker_mid_campaign_retries_once_and_settles(chaos_world):
         assert stats["respawns"] >= 1
     finally:
         broker.shutdown()
-    assert _leaked_segments() == []
 
 
 @pytest.mark.chaos
@@ -99,7 +89,6 @@ def test_seeded_random_kills_never_hang_the_broker(chaos_world):
             ]
     finally:
         broker.shutdown()
-    assert _leaked_segments() == []
 
 
 @pytest.mark.chaos
@@ -124,7 +113,6 @@ def test_kill_both_workers_sequentially_pool_recovers(chaos_world):
         assert all(alive)
     finally:
         broker.shutdown()
-    assert _leaked_segments() == []
 
 
 @pytest.mark.chaos
@@ -166,7 +154,6 @@ def test_kill_during_forensic_replay_loop_still_closes(chaos_world):
         assert joined[0].verdict in ("confirmed", "mismatch", "undetermined")
     finally:
         broker.shutdown()
-    assert _leaked_segments() == []
 
 
 _RUNNER = """\
@@ -289,7 +276,6 @@ def test_sigkill_broker_mid_campaign_resumes_exactly_once(chaos_world,
     assert done_per_key, "no completions journaled"
     duplicates = {k: n for k, n in done_per_key.items() if n > 1}
     assert not duplicates, duplicates
-    assert _leaked_segments() == []
 
 
 @pytest.mark.chaos
@@ -338,7 +324,6 @@ def test_crash_loop_trips_breaker_into_journaled_deadletter(chaos_world,
         assert respawns_first_run >= 3  # the deaths that tripped the breaker
     finally:
         broker.shutdown()
-    assert _leaked_segments() == []
 
 
 @pytest.mark.chaos
@@ -404,4 +389,3 @@ def test_sigkill_leaves_a_flight_dump_with_last_spans(chaos_world, tmp_path):
                    for name in os.listdir(dump_dir))
     finally:
         broker.shutdown()
-    assert _leaked_segments() == []

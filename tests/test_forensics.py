@@ -494,9 +494,9 @@ def test_live_replay_multi_event_one_case_per_incident(world):
         for c in report.forensic_cases
     ) == [
         ("eq-izmit-2026", "confirmed",
-         "cff758013c55236d531c2867609881c3422f341bc2563a3b3b86586e520bb316"),
+         "4aadf739914aba41a1464c274d0abca90d0d827261e6d8534e40fdd2f84f35a3"),
         ("eq-taiwan-2026", "confirmed",
-         "056bf50ff81818d1bbef2daa6a4f124596073105b3f0f2ccabbeb2ea3e784f63"),
+         "c4a498399b800798b6f8943746d2bdfae97164082d6d82b3688cbbbc7f53ea4d"),
     ]
 
 

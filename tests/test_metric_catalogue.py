@@ -5,7 +5,8 @@ label keys)`` after three representative runs: a thread-backend campaign,
 a process-backend campaign that loses a worker, and a journaled run that
 quarantines a signature.  Dashboards, SLO specs and the benchmarks read
 these series by name, so a refactor of how the plane counts must leave
-the catalogue as it is; a new series is added here deliberately.
+the catalogue as it is; a new series is added here deliberately, and a
+series leaves only with the mechanism it counted.
 
 Each run uses a private world so series that depend on world memos (the
 routing collectors) never leak in from other tests.
@@ -28,8 +29,6 @@ _KINDS = {"counters": "counter", "gauges": "gauge", "histograms": "histogram"}
 #: Series present after every run, whatever the backend.
 _COMMON = {
     ("backend_respawns", "gauge", ()),
-    ("backend_shm_bytes", "gauge", ()),
-    ("backend_shm_results", "gauge", ()),
     ("broker_active_jobs", "gauge", ()),
     ("broker_jobs_finished_total", "counter", ("state",)),
     ("broker_jobs_submitted_total", "counter", ()),
