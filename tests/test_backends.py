@@ -312,6 +312,7 @@ def test_one_step_encoding_per_result(campaign_world, tmp_path, monkeypatch):
         ticket = broker.submit(
             "Identify the impact at a country level due to SeaMeWe-5 cable failure")
         result = broker.result(ticket, timeout=120)
+        settled = list(encoded)  # the journaled settle digested the result
         digest = result.artifact_digest()
         assert result.artifact_digest() == digest
     finally:
@@ -319,4 +320,5 @@ def test_one_step_encoding_per_result(campaign_world, tmp_path, monkeypatch):
     steps = result.execution.outputs["results"]
     assert len(steps) >= 3
     for sid, value in steps.items():
+        assert sum(1 for arg in settled if arg is value) == 1, sid
         assert sum(1 for arg in encoded if arg is value) == 1, sid
