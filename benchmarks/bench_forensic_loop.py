@@ -15,7 +15,10 @@ What it demonstrates:
 * alert→verdict wall-clock latency, cold vs warm;
 * trigger economics: queries submitted vs cache hits, corridor
   escalations, alerts merged per case, epoch-shard pool reuse, and the
-  priority path (forensic submissions jump the standing-query band).
+  priority path (forensic submissions jump the standing-query band);
+* GC load: the objects the cyclic GC still tracks after the cold replay
+  that the broker keeps alive (``bench_runner.py`` gates it), and the
+  seconds spent in full collections during it (printed only).
 
 Standalone (what CI smokes)::
 
@@ -33,7 +36,9 @@ committed floor in ``bench_baseline.json``.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import time
 
 from repro.live import (
     FORENSIC_PRIORITY,
@@ -56,6 +61,38 @@ def replay(world, timeline, config, broker):
     return run_live_replay(
         world=world, timeline_events=timeline, config=config, broker=broker
     )
+
+
+def tracked_objects() -> int:
+    """Objects the cyclic GC tracks once a full collection has run."""
+    gc.collect()
+    return len(gc.get_objects())
+
+
+class Gen2Timer:
+    """Wall seconds spent in full (generation-2) collections while active."""
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+        self.collections = 0
+        self._started: float | None = None
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if info["generation"] != 2:
+            return
+        if phase == "start":
+            self._started = time.perf_counter()
+        elif self._started is not None:
+            self.seconds += time.perf_counter() - self._started
+            self.collections += 1
+            self._started = None
+
+    def __enter__(self) -> "Gen2Timer":
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -81,7 +118,11 @@ def main(argv: list[str] | None = None) -> int:
           f"{args.epochs} epochs, {args.workers} workers ===")
     broker = QueryBroker(world, config=ServeConfig(workers=args.workers)).start()
     try:
-        cold = replay(world, timeline, config, broker)
+        before = tracked_objects()
+        with Gen2Timer() as cold_gc:
+            cold = replay(world, timeline, config, broker)
+        # The broker still holds the replay's jobs and their results.
+        retained = tracked_objects() - before
         warm = replay(world, timeline, config, broker)
     finally:
         broker.shutdown()
@@ -105,6 +146,10 @@ def main(argv: list[str] | None = None) -> int:
           f"{per_priority.get(FORENSIC_PRIORITY, 0)} submissions; "
           f"scheduler preemptions "
           f"{cold.broker_stats['scheduler']['preemptions']}")
+
+    print(f"  gc    {retained:,} tracked objects retained by the cold replay; "
+          f"{cold_gc.collections} gen-2 collections took "
+          f"{cold_gc.seconds:.2f}s (not gated)")
 
     warm_submitted = warm_stats["queries_submitted"]
     warm_lookups = warm_stats["query_cache_hits"]
@@ -147,6 +192,9 @@ def main(argv: list[str] | None = None) -> int:
         "pool": cold_stats["pool"],
         "forensic_submissions": per_priority.get(FORENSIC_PRIORITY, 0),
         "scheduler_preemptions": cold.broker_stats["scheduler"]["preemptions"],
+        "retained_tracked_objects": retained,
+        "cold_gen2_gc_s": round(cold_gc.seconds, 3),
+        "cold_gen2_collections": cold_gc.collections,
         "case_records": [
             {k: c[k] for k in ("case_id", "event_id", "alert_kind",
                                "alert_epoch", "verdict", "identified_cable",

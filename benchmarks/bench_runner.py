@@ -6,7 +6,8 @@ the combined results against the committed floor in
 ``benchmarks/bench_baseline.json`` — warm-cache hit rate, worker scaling,
 process-backend jobs/s, convergence speedups, the closed-loop forensic
 guarantees (one completed case per incident, warm replays submitting
-nothing), the tracing-plane guarantees (near-zero overhead when disabled,
+nothing, GC-tracked objects a cold replay leaves behind under a fixed
+ceiling), the tracing-plane guarantees (near-zero overhead when disabled,
 complete broker-to-worker span chains when enabled) and the durability
 guarantees (journal fsync milliseconds and records per job under fixed
 ceilings, exactly-once resume with byte-identical artifacts) must not
@@ -223,6 +224,12 @@ def main(argv: list[str] | None = None) -> int:
          f"{forensic['warm_trigger_hit_rate']:.0%} warm triggered-query "
          f"cache hits (floor {fbase['min_warm_trigger_hit_rate']:.0%}; "
          f"{forensic['warm_queries_submitted']} warm submissions)"),
+        ("forensic retained GC-tracked objects",
+         forensic["retained_tracked_objects"]
+         <= fbase["max_retained_tracked_objects"],
+         f"{forensic['retained_tracked_objects']:,} tracked objects kept alive "
+         f"by a cold replay (ceiling {fbase['max_retained_tracked_objects']:,}; "
+         f"gen-2 GC {forensic['cold_gen2_gc_s']:.2f}s, not gated)"),
         ("tracing overhead",
          obs["overhead_pct"] <= max_overhead,
          f"{obs['overhead_pct']:.1f}% traced vs null throughput "

@@ -27,13 +27,16 @@ class BGPUpdate:
         return self.as_path[-1] if self.as_path else None
 
     def to_dict(self) -> dict:
+        """The update as a row of scalars; ``as_path`` is this update's own
+        tuple, so the cyclic GC need not track the row (copy it before
+        mutating)."""
         return {
             "ts": self.ts,
             "collector": self.collector,
             "peer_asn": self.peer_asn,
             "kind": self.kind.value,
             "prefix": self.prefix,
-            "as_path": list(self.as_path),
+            "as_path": self.as_path,
         }
 
     @classmethod
@@ -67,7 +70,7 @@ class RouteRecord:
             "collector": self.collector,
             "peer_asn": self.peer_asn,
             "prefix": self.prefix,
-            "as_path": list(self.as_path),
+            "as_path": self.as_path,
             "ts": self.ts,
         }
 

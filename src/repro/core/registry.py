@@ -288,7 +288,8 @@ def default_registry() -> Registry:
         "BGP updates recorded by the collector over a time window.",
         ["bgp_updates", "routing_data", "temporal_data"],
         [("window_start", "float unix-ish seconds"), ("window_end", "float")],
-        [("updates", "list of {ts,peer_asn,kind,prefix,as_path} rows")],
+        [("updates", "list of {ts,peer_asn,kind,prefix,as_path} rows; "
+                     "as_path is an immutable tuple")],
         "repro.bgp.api:fetch_updates",
         constraints=["volume grows with window length"],
         cost_hint="moderate",
@@ -326,7 +327,8 @@ def default_registry() -> Registry:
         ["latency_measurement", "traceroute", "temporal_data"],
         [("src_region", "str region name"), ("dst_region", "str"),
          ("window_start", "float"), ("window_end", "float"), ("interval_s", "float")],
-        [("measurements", "list of {ts,probe_id,src_country,dst_country,rtt_ms,link_ids}")],
+        [("measurements", "list of {ts,probe_id,src_country,dst_country,rtt_ms,link_ids} rows; "
+                          "link_ids is an immutable tuple shared by rows on one path")],
         "repro.traceroute.api:run_campaign",
         constraints=["cost scales with window/interval and probe counts"],
         cost_hint="expensive",

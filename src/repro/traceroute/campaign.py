@@ -61,6 +61,12 @@ def campaign_rows(
     and ``link_ids``.  The failed-link set only changes at incident onsets,
     so every (probe, target) path is resolved once per distinct set; each
     timestep then only draws the per-sample noise.
+
+    Rows hold only scalars and immutable tuples: ``link_ids`` is the
+    resolved path's own tuple (``()`` when unreachable), shared by every
+    row on that path.  Once a collection has untracked those tuples the
+    cyclic GC never tracks the row dicts, so a retained campaign costs
+    collections nothing.  Copy ``link_ids`` before mutating it.
     """
     incidents = list(incidents or [])
     resolver = PathResolver(world)
@@ -89,10 +95,10 @@ def campaign_rows(
             ]
         for probe_id, src_country, src_asn, dst_asn, dst_country, path in hops:
             if path is None:
-                rtt, hop_count, link_ids = None, 0, []
+                rtt, hop_count, link_ids = None, 0, ()
             else:
                 rtt = round(path.base_rtt_ms * (1.0 + sample_noise(src_asn, dst_asn, ts)), 3)
-                hop_count, link_ids = path.hop_count, list(path.link_ids)
+                hop_count, link_ids = path.hop_count, path.link_ids
             rows.append({
                 "ts": ts,
                 "probe_id": probe_id,

@@ -4,13 +4,19 @@
 rewritten to do less work per row; the straightforward versions live in
 ``measurement_oracles``.  Every comparison here is exact equality — values,
 key order and row order — because the golden digests hash these outputs.
+The one representation difference is deliberate: fast rows carry
+``link_ids`` as a shared immutable tuple where the oracle builds a list,
+which ``canonical_json`` (what the digests hash) writes identically.
 """
 
 import dataclasses
+import gc
 
 import pytest
 
 import measurement_oracles as oracle
+from repro.bgp.api import fetch_updates
+from repro.core.artifacts import canonical_json
 from repro.nautilus.geolocation import Geolocator
 from repro.nautilus.mapping import link_rtt_ms, observed_link_rtt_ms
 from repro.synth.iplinks import rank_cables_for_link, true_path_km
@@ -51,7 +57,14 @@ def _campaign_pair(world, src, dst, interval_s, incidents):
 
 
 def _items(rows):
-    return [list(row.items()) for row in rows]
+    return [[(key, list(value) if key == "link_ids" else value) for key, value in row.items()]
+            for row in rows]
+
+
+def _assert_rows_equal_oracle(fast, reference):
+    assert _items(fast) == _items(reference)
+    assert canonical_json(fast) == canonical_json(reference)
+    assert all(type(row["link_ids"]) is tuple for row in fast)
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +74,7 @@ def campaign(seeded_world):
 
 def test_campaign_rows_equal_oracle(seeded_world, campaign):
     fast, reference = campaign
-    assert _items(fast) == _items(reference)
+    _assert_rows_equal_oracle(fast, reference)
     onset = _incidents(seeded_world)[0].onset
     assert any(row["ts"] < onset for row in fast)
     assert any(row["ts"] > onset for row in fast)
@@ -71,13 +84,31 @@ def test_campaign_rows_equal_oracle(seeded_world, campaign):
 
 def test_campaign_rows_equal_oracle_without_incidents(world):
     fast, reference = _campaign_pair(world, "asia", "oceania", 21_600.0, [])
-    assert fast and _items(fast) == _items(reference)
+    assert fast
+    _assert_rows_equal_oracle(fast, reference)
 
 
-def test_campaign_rows_do_not_share_link_lists(campaign):
+def test_campaign_rows_share_immutable_link_tuples(seeded_world, campaign):
+    # Rows on one path under one failed-link set share the path's tuple;
+    # tuples cannot be mutated, so the aliasing is harmless.
     fast, _ = campaign
-    lists = [row["link_ids"] for row in fast]
-    assert len({id(links) for links in lists}) == len(lists)
+    onsets = [incident.onset for incident in _incidents(seeded_world)]
+    assert all(type(row["link_ids"]) is tuple for row in fast)
+    combos = {(row["probe_id"], row["dst_asn"], tuple(row["ts"] >= t for t in onsets))
+              for row in fast}
+    assert len({id(row["link_ids"]) for row in fast}) <= len(combos) < len(fast)
+
+
+def test_measurement_rows_are_not_gc_tracked(seeded_world):
+    # Rows of scalars and untracked tuples leave nothing for the cyclic GC
+    # to walk, however many results a broker retains.
+    incidents = [make_latency_incident(seeded_world, "SeaMeWe-5")]
+    rows = run_campaign(seeded_world, "europe", "asia", 0.0, 7 * DAY, incidents=incidents)
+    updates = fetch_updates(seeded_world, 0.0, 7 * DAY, incidents=incidents)
+    gc.collect()
+    assert rows and updates
+    assert not any(gc.is_tracked(row) for row in rows)
+    assert not any(gc.is_tracked(row) for row in updates)
 
 
 @pytest.mark.parametrize("bin_seconds", [3600.0, 5400.0])
