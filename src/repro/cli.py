@@ -251,7 +251,7 @@ def run_batch(args, world, registry, incidents) -> int:
         try:
             _load_cache(broker, cache_file)
             report = run_campaign(broker, spec)
-            ledger_summary = broker.ledger.summary()
+            provenance = broker.provenance_summary()
             _spill_cache(broker, cache_file)
             _dump_obs(args, broker)
         finally:
@@ -260,7 +260,7 @@ def run_batch(args, world, registry, incidents) -> int:
 
     if args.json:
         payload = report.to_dict()
-        payload["ledger"] = ledger_summary
+        payload["ledger"] = provenance
         print(json.dumps(payload, indent=1, default=str))
     else:
         print(f"campaign: {report.succeeded}/{report.total} jobs ok "
@@ -332,7 +332,7 @@ def run_serve(args, world, registry, incidents, stream=None) -> int:
     cache = stats.get("cache")
     if args.json:
         print(json.dumps({"jobs": rows, "cache": cache,
-                          "ledger": broker.ledger.summary()},
+                          "ledger": broker.provenance_summary()},
                          indent=1, default=str))
     elif cache:
         print(f"served {len(queries)} queries, cache hit rate {cache['hit_rate']:.0%}")
@@ -610,7 +610,7 @@ def main(argv: list[str] | None = None) -> int:
         records = tracer.records()
         # Single-shot runs produce exactly one trace; printing its id lets
         # the output line be joined against the --trace-out export the same
-        # way serve-mode ledger rows join via their trace_id.
+        # way serve-mode jobs join via their trace_id.
         ids = tracer.trace_ids()
         trace_id = ids[0] if ids else None
         path = TraceSink(args.trace_out).write(records)

@@ -130,9 +130,9 @@ class WorldTimeline:
 
     The per-event failure draw (which exposed cables actually break) is
     computed once, up front, through the same footprint + Bernoulli
-    machinery the Monte Carlo sweeps use — so a timeline is deterministic in
-    (world, events, failure_probability, seed) and replaying it yields the
-    identical epoch fingerprint sequence every run.
+    machinery ``xaminer.process_event`` uses — so a timeline is
+    deterministic in (world, events, failure_probability, seed) and
+    replaying it yields the identical epoch fingerprint sequence every run.
     """
 
     def __init__(

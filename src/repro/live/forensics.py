@@ -625,11 +625,8 @@ class ForensicTrigger:
                 job = self.broker.wait(case.ticket, timeout)
                 self.pool.unpin(case.world_key)
                 case.state = job.state.value
-                try:
-                    # A crash-retried verdict job carries its postmortem path.
-                    case.flight_dump = self.broker.ledger.get(case.ticket).flight_dump
-                except KeyError:
-                    pass
+                # A crash-retried verdict job carries its postmortem path.
+                case.flight_dump = job.flight_dump
                 final = None
                 if job.state is JobState.DONE:
                     outputs = job.result.execution.outputs

@@ -13,7 +13,8 @@ atomically dumps a self-contained JSON postmortem: the ring, a full
 registry snapshot, stats from every registered source, the git sha and
 the serve config.  Dumps land next to the artifact cache so forensic
 tooling finds them where the artifacts already live, and the dump path
-is threaded into ``JobProvenance`` / ``ForensicCase`` rows.
+is threaded into the serve plane's ``Job`` and the live plane's
+``ForensicCase`` (their ``flight_dump`` field).
 
 Stdlib-only and dependency-free like the rest of :mod:`repro.obs`; the
 bus and stat sources are duck-typed.

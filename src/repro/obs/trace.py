@@ -354,7 +354,7 @@ class TraceSink:
     ``chrome://tracing`` load directly: one ``ph: "X"`` (complete) event
     per span with microsecond ``ts``/``dur``, plus ``ph: "M"`` metadata
     events naming each process track.  Trace identity travels in
-    ``args`` (``trace_id``/``span_id``/``parent_id``) so a ledger row's
+    ``args`` (``trace_id``/``span_id``/``parent_id``) so a served job's
     ``trace_id`` greps straight into the file.
     """
 

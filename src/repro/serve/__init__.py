@@ -6,8 +6,9 @@ Turns the one-shot ``ArachNet.answer()`` pipeline into a service: a
 world), a :class:`WorkerPool` of threads drains the queue into a pluggable
 :class:`ExecutionBackend` (in-thread, or a preforked process pool for
 CPU-bound pipelines), a shared :class:`ArtifactCache` memoizes the
-deterministic agent stages, and a :class:`ProvenanceLedger` records what
-every job cost and where each artifact came from.
+deterministic agent stages, and each ticket's :class:`Job` records what
+it cost and where each artifact came from (``Job.to_dict()``,
+:meth:`QueryBroker.provenance_summary`).
 :mod:`repro.serve.campaign` fans scenario matrices into batch submissions
 over the same machinery.
 """
@@ -48,7 +49,6 @@ from repro.serve.journal import (
     WriteAheadJournal,
     replay_directory,
 )
-from repro.serve.provenance import JobProvenance, ProvenanceLedger, StageRecord
 from repro.serve.recovery import RecoveryReport, ReplayedResult, recover
 from repro.serve.scheduler import (
     PriorityScheduler,
@@ -77,11 +77,9 @@ __all__ = [
     "CampaignSpec",
     "DEFAULT_WORLD_KEY",
     "Job",
-    "JobProvenance",
     "JobState",
     "PoisonJobQuarantined",
     "PriorityScheduler",
-    "ProvenanceLedger",
     "QueryBroker",
     "QueueSaturated",
     "RecoveryReport",
@@ -89,7 +87,6 @@ __all__ = [
     "SchedulerClosed",
     "SchedulerSaturated",
     "ServeConfig",
-    "StageRecord",
     "WorkerCrashed",
     "WorkerPool",
     "WorldShard",

@@ -383,11 +383,6 @@ class ExecutionBackend:
     """The protocol the broker drives.  ``run`` is called concurrently from
     every worker thread; ``prepare`` is called once per registered world so
     misconfiguration fails at ``add_world`` time, not first-job time.
-
-    ``run`` must deliver every produced :class:`StageTrace` to ``observer``
-    (when given) — streamed live where the pipeline runs in-process, or
-    replayed from the result where it ran elsewhere — so the provenance
-    ledger sees partial traces even when a later stage fails in-process.
     """
 
     name = "base"
@@ -422,7 +417,6 @@ class ExecutionBackend:
         shard: WorldShard,
         query: str,
         params: dict | None,
-        observer=None,
         excluded_workers: tuple[int, ...] = (),
         trace=None,
     ) -> PipelineResult:
@@ -444,12 +438,11 @@ class ThreadPoolBackend(ExecutionBackend):
         shard: WorldShard,
         query: str,
         params: dict | None,
-        observer=None,
         excluded_workers: tuple[int, ...] = (),
         trace=None,
     ) -> PipelineResult:
-        return shard.system.answer(query, params=params, observer=observer,
-                                   tracer=self.tracer, trace_parent=trace)
+        return shard.system.answer(query, params=params, tracer=self.tracer,
+                                   trace_parent=trace)
 
 
 class _WorkerSlot:
@@ -708,23 +701,11 @@ class ProcessPoolBackend(ExecutionBackend):
         shard: WorldShard,
         query: str,
         params: dict | None,
-        observer=None,
         excluded_workers: tuple[int, ...] = (),
         trace=None,
     ) -> PipelineResult:
-        result = self._dispatch(shard, query, params, excluded_workers,
-                                trace=trace).result()
-        self._replay(result, observer)
-        return result
-
-    @staticmethod
-    def _replay(result: PipelineResult, observer) -> None:
-        if observer is not None:
-            # Traces travelled back inside the result; replay them.  (A job
-            # that raised worker-side surfaces as an exception — its partial
-            # trace does not cross the process boundary.)
-            for trace in result.stage_trace:
-                observer(trace)
+        return self._dispatch(shard, query, params, excluded_workers,
+                              trace=trace).result()
 
     # -- plane threads -----------------------------------------------------
 

@@ -3,9 +3,11 @@
 Submissions become tickets; a ticket's job moves queued → running →
 done/failed while the caller polls ``status`` or blocks on ``wait``.  The
 broker owns the moving parts — one :class:`PriorityScheduler`, one
-:class:`WorkerPool`, one shared :class:`ArtifactCache`, one
-:class:`ProvenanceLedger`, and a :class:`WorldShard` per registered world
-— so callers only ever talk tickets and results.
+:class:`WorkerPool`, one shared :class:`ArtifactCache`, and a
+:class:`WorldShard` per registered world — so callers only ever talk
+tickets and results.  Each ticket's :class:`Job` is its one provenance
+record: lifecycle stamps, worker, retries and flight dump on the job, and
+per-stage attribution in ``job.result.stage_trace``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from repro.obs import FlightRecorder, MetricsRegistry, Tracer, resolve_tracer
 from repro.serve.backends import WorkerCrashed, build_backend, job_key
 from repro.serve.cache import ArtifactCache
 from repro.serve.journal import DeadLetterQueue, JournalState, WriteAheadJournal
-from repro.serve.provenance import ProvenanceLedger
 from repro.serve.recovery import RecoveryReport, ReplayedResult, recover
 from repro.serve.scheduler import (
     PriorityScheduler,
@@ -63,7 +64,7 @@ class ServeConfig:
     cache_enabled: bool = True
     max_cache_entries: int = 4096
     curate: bool = False  # registry evolution is opt-in while serving
-    #: Finished jobs (and their ledger entries) beyond this bound are pruned
+    #: Finished jobs (and their provenance) beyond this bound are pruned
     #: oldest-first so a long-running broker cannot grow without limit.
     #: Size it above the largest campaign whose tickets are awaited at once.
     max_retained_jobs: int = 10_000
@@ -146,6 +147,34 @@ class Job:
     #: settle.  ``None`` whenever tracing is off.
     root_span: object = field(default=None, repr=False, compare=False)
     queue_span: object = field(default=None, repr=False, compare=False)
+    #: Claiming worker thread ("journal-replay" for a re-joined completion).
+    worker: str = ""
+    #: Wall-clock (``time.time``) lifecycle stamps; 0.0 until reached.
+    submitted_at: float = field(default_factory=time.time)
+    started_at: float = 0.0
+    finished_at: float = 0.0
+    #: Times the job was resubmitted after its worker process died.
+    retries: int = 0
+    #: Path of the flight-recorder postmortem covering this job's crash
+    #: retry ("" when the job never crashed or no recorder was running).
+    flight_dump: str = ""
+
+    @property
+    def queue_delay_s(self) -> float:
+        if self.started_at:
+            return max(0.0, self.started_at - self.submitted_at)
+        return 0.0
+
+    @property
+    def run_duration_s(self) -> float:
+        if self.finished_at and self.started_at:
+            return max(0.0, self.finished_at - self.started_at)
+        return 0.0
+
+    @property
+    def stage_trace(self) -> list:
+        """Per-stage provenance; empty when the job produced no result."""
+        return self.result.stage_trace if self.result is not None else []
 
     def to_dict(self) -> dict:
         return {
@@ -158,6 +187,13 @@ class Job:
             "trace_id": self.trace_id,
             "key": self.key,
             "replayed": self.replayed,
+            "worker": self.worker,
+            "submitted_at": self.submitted_at,
+            "started_at": self.started_at,
+            "finished_at": self.finished_at,
+            "retries": self.retries,
+            "flight_dump": self.flight_dump,
+            "stages": [trace.to_dict() for trace in self.stage_trace],
         }
 
 
@@ -224,7 +260,6 @@ class QueryBroker:
             if self.config.cache_enabled
             else None
         )
-        self.ledger = ProvenanceLedger()
         # Durability plane: open (and replay) the write-ahead journal before
         # anything can submit, so every recovered fact — completions to
         # re-join, submissions to requeue, quarantines to re-arm — is in
@@ -244,7 +279,7 @@ class QueryBroker:
                 fsync=self.config.journal_fsync,
                 metrics=self.metrics,
             )
-            self.recovery = recover(self.journal, ledger=self.ledger)
+            self.recovery = recover(self.journal)
             self.metrics.gauge("recovery_replayed_records").set(
                 self.recovery.replayed_records)
             if recovery_span is not None:
@@ -297,7 +332,10 @@ class QueryBroker:
         self._shards: dict[str, WorldShard] = {}
         self._jobs: dict[str, Job] = {}  # insertion-ordered: oldest first
         self._lock = threading.Lock()
-        self._ticket_counter = 0
+        # Tickets continue past the recovered journal's, so a restarted
+        # broker's claim and retry records never land on the crashed run's.
+        self._ticket_base = self.recovery.max_ticket if self.recovery else 0
+        self._ticket_counter = self._ticket_base
         self._default_registry = registry
         self.metrics.register_collector(self._refresh_routing)
         if world is not None:
@@ -506,7 +544,6 @@ class QueryBroker:
             )
             job.trace_id = job.root_span.context.trace_id
         self.metrics.counter("broker_jobs_submitted_total").inc()
-        self.ledger.open(ticket, query, world_key, trace_id=job.trace_id)
         if self.journal is not None:
             # The WAL property: the submission is durable before the
             # scheduler can hand it to a worker.
@@ -524,7 +561,6 @@ class QueryBroker:
                 self._jobs.pop(ticket, None)
                 if key:
                     self._key_tickets.pop(key, None)
-            self.ledger.remove(ticket)
             self._close_spans(job, "rejected")
             if self.journal is not None:
                 self.journal.append("cancel", {"ticket": ticket})
@@ -571,11 +607,8 @@ class QueryBroker:
             self.deadletter.quarantine(
                 job.world_key, job.query, key=job.key, params=job.params,
                 priority=job.priority, ticket=job.ticket, error=job.error)
-        entry = self.ledger.open(job.ticket, job.query, job.world_key)
-        entry.worker = worker
-        entry.status = job.state.value
-        entry.error = job.error
-        entry.finished_at = self.ledger.now()
+        job.worker = worker
+        job.finished_at = time.time()
         job.done.set()
         self._prune_finished()
         return job.ticket
@@ -600,7 +633,7 @@ class QueryBroker:
         self.metrics.counter("broker_jobs_cancelled_total").inc()
         if self.journal is not None and job.key:
             self.journal.append("cancel", {"ticket": ticket})
-        self.ledger.mark_finished(ticket, "cancelled", job.error)
+        job.finished_at = time.time()
         self._close_spans(job, "cancelled")
         job.done.set()
         self._prune_finished()
@@ -662,7 +695,7 @@ class QueryBroker:
             states: dict[str, int] = {}
             for job in self._jobs.values():
                 states[job.state.value] = states.get(job.state.value, 0) + 1
-            submitted = self._ticket_counter
+            submitted = self._ticket_counter - self._ticket_base
         total = self.metrics.total
         scheduler = self._scheduler.stats()
         # Submissions were either pushed to the scheduler or refused there.
@@ -699,6 +732,33 @@ class QueryBroker:
             },
         }
 
+    def provenance_summary(self) -> dict:
+        """A view over the retained jobs: stage timings, cache economics,
+        retries and lifecycle delays."""
+        with self._lock:
+            jobs = list(self._jobs.values())
+        per_stage: dict[str, dict] = {}
+        for job in jobs:
+            for trace in job.stage_trace:
+                agg = per_stage.setdefault(
+                    trace.agent, {"calls": 0, "cache_hits": 0, "total_s": 0.0})
+                agg["calls"] += 1
+                agg["cache_hits"] += 1 if trace.cache_hit else 0
+                agg["total_s"] += trace.duration_s
+        for agg in per_stage.values():
+            agg["mean_s"] = agg["total_s"] / agg["calls"]
+        finished = [job for job in jobs if job.finished_at]
+        count = len(finished) or 1
+        return {
+            "jobs": len(jobs),
+            "finished": len(finished),
+            "failed": sum(1 for job in jobs if job.state is JobState.FAILED),
+            "retried": sum(job.retries for job in jobs),
+            "mean_queue_delay_s": sum(j.queue_delay_s for j in finished) / count,
+            "mean_run_duration_s": sum(j.run_duration_s for j in finished) / count,
+            "per_stage": per_stage,
+        }
+
     # -- the worker-side job runner ---------------------------------------
 
     def _run_job(self, job: Job, worker_name: str) -> None:
@@ -719,12 +779,13 @@ class QueryBroker:
             backend=self.backend.name, worker=worker_name,
         ) if self.tracer.enabled else None
         try:
-            observer = self.ledger.get(job.ticket).observer()
-            self.ledger.mark_started(job.ticket, worker_name)
+            job.worker = worker_name
+            job.started_at = time.time()
             if self.journal is not None and job.key:
-                # Claims are flushed but not fsync'd: they only enrich
-                # recovered provenance, never gate resumption, so the hot
-                # path skips the per-job disk round-trip.
+                # Claims are flushed but not fsync'd: they only record who
+                # ran the job for a crashed run's journal, never gate
+                # resumption, so the hot path skips the per-job disk
+                # round-trip.
                 self.journal.append("claim", {"ticket": job.ticket,
                                               "worker": worker_name},
                                     sync=False)
@@ -741,7 +802,6 @@ class QueryBroker:
         def attempt(excluded: tuple[int, ...] = ()):
             try:
                 return self.backend.run(shard, job.query, job.params,
-                                        observer=observer,
                                         excluded_workers=excluded, trace=trace)
             except Exception as exc:
                 return exc
@@ -758,7 +818,7 @@ class QueryBroker:
             excluded.add(outcome.worker_index)
             retriable = self._record_crash(job, outcome.worker_index)
             if retriable:
-                self.ledger.mark_retried(job.ticket)
+                job.retries += 1
                 self.metrics.counter("broker_job_retries_total").inc()
                 if self.journal is not None and job.key:
                     self.journal.append("retry", {"ticket": job.ticket},
@@ -774,20 +834,16 @@ class QueryBroker:
             if self.flight is not None:
                 # The black box saw the crash: dump before the retry runs,
                 # while the dead worker's last spans are still in the ring,
-                # and pin the postmortem to the ticket's ledger row.
+                # and pin the postmortem to the job.
                 self.flight.record("worker_crashed", {
                     "tickets": [job.ticket],
                     "worker_slots": sorted(excluded),
                     "worker": worker_name,
                 })
-                dump_path = self.flight.dump("worker_crashed", extra={
+                job.flight_dump = self.flight.dump("worker_crashed", extra={
                     "tickets": [job.ticket],
                     "worker_slots": sorted(excluded),
                 })
-                try:
-                    self.ledger.get(job.ticket).flight_dump = dump_path
-                except KeyError:
-                    pass
             if not retriable:
                 break
             if backoff_s > 0:
@@ -836,22 +892,19 @@ class QueryBroker:
             # ticket so its waiter learns the verdict.
             job.error = f"quarantined: {outcome}"
             job.state = JobState.QUARANTINED
-            self.ledger.mark_finished(job.ticket, "quarantined", job.error)
             self.metrics.counter("broker_jobs_quarantined_total").inc()
         elif isinstance(outcome, Exception):
             # A failed job must never take a worker down.
             job.error = f"{type(outcome).__name__}: {outcome}"
             job.state = JobState.FAILED
-            self.ledger.mark_finished(job.ticket, "failed", job.error)
         else:
             job.result = outcome
             if outcome.execution.succeeded:
                 job.state = JobState.DONE
-                self.ledger.mark_finished(job.ticket, "done")
             else:
                 job.error = outcome.execution.error
                 job.state = JobState.FAILED
-                self.ledger.mark_finished(job.ticket, "failed", job.error)
+        job.finished_at = time.time()
         if job.state is JobState.DONE:
             state_key = "done"
         elif job.state is JobState.QUARANTINED:
@@ -916,5 +969,3 @@ class QueryBroker:
                     del self._jobs[ticket]
         if victims:
             self.metrics.counter("broker_jobs_pruned_total").inc(len(victims))
-        for ticket in victims:
-            self.ledger.remove(ticket)

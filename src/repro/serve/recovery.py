@@ -5,8 +5,6 @@ surviving checkpoint + segment tail (torn tails already truncated by
 :mod:`repro.serve.journal`) into a :class:`RecoveryReport`, and the broker
 uses it to
 
-* reconstruct provenance ledger rows for every journaled completion, so
-  ``ledger.summary()`` spans the crash;
 * seed its dedup index: resubmitting a journaled-complete job (same
   idempotency key — the :func:`~repro.serve.backends.job_key` blake2b key
   over world fingerprint, query and params) joins the journaled artifact
@@ -16,15 +14,17 @@ uses it to
 * requeue the journaled submissions that never completed (the crashed
   run's scheduler queue);
 * re-arm the dead-letter quarantine and surface still-open forensic
-  cases and standing-query registrations to the live plane.
+  cases and standing-query registrations to the live plane;
+* continue ticket numbering past the journal's highest ticket, so the
+  crashed run's ``claim`` and ``retry`` records (readable with
+  :func:`~repro.serve.journal.replay_directory`) stay its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.serve.journal import JournalState, WriteAheadJournal
-from repro.serve.provenance import ProvenanceLedger
+from repro.serve.journal import WriteAheadJournal
 
 
 class ReplayedExecution:
@@ -94,7 +94,6 @@ class RecoveryReport:
     standing: list[dict] = field(default_factory=list)
     open_cases: list[dict] = field(default_factory=list)
     max_ticket: int = 0
-    ledger_restored: int = 0
     #: Filled by the broker once it requeues the pending submissions.
     resubmitted: int = 0
 
@@ -111,49 +110,15 @@ class RecoveryReport:
             "standing": [dict(r) for r in self.standing],
             "open_cases": [dict(r) for r in self.open_cases],
             "max_ticket": self.max_ticket,
-            "ledger_restored": self.ledger_restored,
             "resubmitted": self.resubmitted,
         }
 
 
-def restore_ledger(ledger: ProvenanceLedger, state: JournalState) -> int:
-    """Recreate provenance rows for every journaled completion.
-
-    Rows carry the journaled timestamps, worker attribution, retry counts
-    and terminal status; per-stage records did not survive the crash (they
-    lived broker-side in memory) and stay empty.
-    """
-    restored = 0
-    for key, completion in state.completions.items():
-        ticket = completion.get("ticket", "")
-        if not ticket:
-            continue
-        submit = state.submits.get(key, {})
-        entry = ledger.open(
-            ticket,
-            completion.get("query", submit.get("query", "")),
-            completion.get("world_key", submit.get("world_key", "default")),
-        )
-        entry.submitted_at = submit.get("ts", completion.get("ts", 0.0))
-        claim = state.claims.get(ticket)
-        if claim is not None:
-            entry.worker = claim.get("worker", "")
-            entry.started_at = claim.get("ts", 0.0)
-        entry.retries = state.retries.get(ticket, 0)
-        entry.finished_at = completion.get("ts", 0.0)
-        entry.status = completion.get("status", "done")
-        entry.error = completion.get("error", "")
-        restored += 1
-    return restored
-
-
-def recover(journal: WriteAheadJournal,
-            ledger: ProvenanceLedger | None = None) -> RecoveryReport:
-    """Summarize a freshly opened journal into a :class:`RecoveryReport`,
-    optionally restoring completed jobs' provenance ledger rows."""
+def recover(journal: WriteAheadJournal) -> RecoveryReport:
+    """Summarize a freshly opened journal into a :class:`RecoveryReport`."""
     state = journal.state
     replay = journal.replay_stats
-    report = RecoveryReport(
+    return RecoveryReport(
         directory=journal.directory,
         replayed_records=replay.replayed_records,
         truncated_bytes=replay.truncated_bytes,
@@ -166,6 +131,3 @@ def recover(journal: WriteAheadJournal,
         open_cases=state.open_cases(),
         max_ticket=state.max_ticket,
     )
-    if ledger is not None:
-        report.ledger_restored = restore_ledger(ledger, state)
-    return report

@@ -3,8 +3,8 @@
 Two modes, as in Xaminer:
 
 * **Sampled** — every exposed cable fails with probability
-  ``failure_probability * exposure`` (Bernoulli, seeded).  Used for Monte
-  Carlo sweeps.
+  ``failure_probability * exposure`` (Bernoulli, seeded).  Used by
+  ``xaminer.process_event`` and the live plane's timelines.
 * **Expected** — deterministic per-cable failure *weights* equal to that
   probability, for expectation-based impact without sampling noise.
 """

@@ -63,7 +63,7 @@ def test_priority_job_overtakes_queued_low_priority_jobs(world):
         urgent = broker.submit(QUERY.format(cables[6]), priority=100)
         finished = broker.wait_all([slow, urgent, *low], timeout=300)
         assert all(job.state is JobState.DONE for job in finished)
-        finished_at = {t: broker.ledger.get(t).finished_at
+        finished_at = {t: broker.job(t).finished_at
                        for t in [urgent, *low]}
         assert finished_at[urgent] < max(finished_at[t] for t in low)
     finally:
@@ -144,9 +144,9 @@ def test_worker_death_retries_once_on_excluded_slot(world):
         )
         job = broker.wait(ticket, timeout=120)
         assert job.state is JobState.DONE
-        assert broker.ledger.get(ticket).retries == 1
+        assert broker.job(ticket).retries == 1
         assert broker.stats()["backend"]["respawns"] >= 1
-        assert broker.ledger.summary()["retried"] == 1
+        assert broker.provenance_summary()["retried"] == 1
     finally:
         broker.shutdown()
 
@@ -165,7 +165,7 @@ def test_worker_death_fails_after_single_retry(world):
         job = broker.wait(ticket, timeout=120)
         assert job.state is JobState.FAILED
         assert "WorkerCrashed" in job.error
-        assert broker.ledger.get(ticket).retries == 1
+        assert broker.job(ticket).retries == 1
         # The pool healed: the respawned worker serves the next job.
         good = broker.submit(QUERY.format(world.cable_names()[1]))
         assert broker.wait(good, timeout=120).state is JobState.DONE

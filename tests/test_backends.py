@@ -57,10 +57,10 @@ def _run_backend_campaign(world, backend, jobs, cache_enabled=True):
             json.dumps(broker.result(t).to_dict()["execution"], sort_keys=True)
             for t in report.tickets
         ]
-        # Stage provenance must reach the ledger through every backend
-        # (streamed in-thread, replayed from the shipped result otherwise).
-        ledger = broker.ledger.summary()
-        assert ledger["per_stage"]["querymind"]["calls"] == len(jobs)
+        # Stage provenance must reach every job through every backend
+        # (in-thread, or inside the result shipped back from a worker).
+        summary = broker.provenance_summary()
+        assert summary["per_stage"]["querymind"]["calls"] == len(jobs)
         stats = broker.stats()
     finally:
         broker.shutdown()
@@ -208,6 +208,27 @@ def test_process_backend_warm_cache_across_resubmission(campaign_world):
         assert merged is not None and merged["hits"] > 0
     finally:
         broker.shutdown()
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_job_stages_are_the_result_stage_trace(campaign_world, backend):
+    """A served job's provenance names each agent stage exactly as the
+    result's Figure-1 trace does, whichever backend ran it."""
+    query = _campaign_jobs(campaign_world, count=1)[0].query
+    broker = QueryBroker(
+        campaign_world, config=ServeConfig(workers=1, backend=backend)
+    ).start()
+    try:
+        job = broker.wait(broker.submit(query), timeout=120)
+    finally:
+        broker.shutdown()
+    trace = [stage.to_dict() for stage in job.result.stage_trace]
+    assert [stage["agent"] for stage in trace] == [
+        "querymind", "workflowscout", "solutionweaver", "executor"]
+    payload = job.to_dict()
+    assert payload["stages"] == trace
+    assert payload["worker"] and payload["state"] == "done"
+    assert 0 < payload["submitted_at"] <= payload["started_at"] <= payload["finished_at"]
 
 
 def test_backend_shutdown_is_idempotent(campaign_world):

@@ -52,9 +52,9 @@ def test_kill_worker_mid_campaign_retries_once_and_settles(chaos_world):
         assert all(job.state is JobState.DONE for job in finished), [
             (j.ticket, j.state.value, j.error) for j in finished
         ]
-        retried = sum(broker.ledger.get(t).retries for t in tickets)
+        retried = sum(broker.job(t).retries for t in tickets)
         assert retried >= 1, "the killed worker's in-flight jobs must retry"
-        assert all(broker.ledger.get(t).retries <= 1 for t in tickets)
+        assert all(broker.job(t).retries <= 1 for t in tickets)
         stats = broker.stats()["backend"]
         assert stats["respawns"] >= 1
     finally:
@@ -365,12 +365,12 @@ def test_sigkill_leaves_a_flight_dump_with_last_spans(chaos_world, tmp_path):
         broker.backend.kill_worker(0)
         finished = broker.wait_all(tickets, timeout=300)
         assert all(job.state is JobState.DONE for job in finished)
-        retried = [t for t in tickets if broker.ledger.get(t).retries == 1]
+        retried = [t for t in tickets if broker.job(t).retries == 1]
         assert retried, "the kill must have landed on at least one job"
 
-        # Every retried job's ledger row points at a real postmortem.
+        # Every retried job points at a real postmortem.
         for ticket in retried:
-            dump_path = broker.ledger.get(ticket).flight_dump
+            dump_path = broker.job(ticket).flight_dump
             assert dump_path and os.path.exists(dump_path), ticket
             doc = json.loads(open(dump_path).read())
             assert doc["reason"] == "worker_crashed"

@@ -4,7 +4,7 @@ Covers the :class:`SloEngine` window math and multi-window burn-rate rule
 under a fake clock, breach/recovery events on the bus, the
 :class:`FlightRecorder` ring/dump lifecycle, the :class:`ObsServer`
 endpoints over live components, the serve-plane wiring (crash retries
-carry dump paths into the ledger), and — marked ``slow`` — the
+carry dump paths onto the job), and — marked ``slow`` — the
 acceptance path: ``/healthz`` flips from 200 to non-200 within one
 evaluation window of an induced worker crash loop during a live replay.
 """
@@ -457,8 +457,8 @@ def test_ledger_rows_without_crashes_have_empty_flight_dump(small_world):
             "Identify the impact at a country level due to "
             f"{small_world.cable_names()[0]} cable failure")
         broker.wait(ticket, timeout=300)
-        assert broker.ledger.get(ticket).flight_dump == ""
-        assert broker.ledger.get(ticket).to_dict()["flight_dump"] == ""
+        assert broker.job(ticket).flight_dump == ""
+        assert broker.job(ticket).to_dict()["flight_dump"] == ""
     finally:
         broker.shutdown()
 

@@ -30,9 +30,8 @@ from repro.serve.journal import (
     iter_valid_records,
     read_segment,
     segment_paths,
+    ticket_number,
 )
-from repro.serve.provenance import ProvenanceLedger
-from repro.serve.recovery import restore_ledger
 
 CS1 = "Identify the impact at a country level due to SeaMeWe-5 cable failure"
 
@@ -209,20 +208,21 @@ def test_replayed_result_quacks_like_pipeline_result():
     assert not failed.execution.succeeded and failed.execution.error == "boom"
 
 
-def test_restore_ledger_rebuilds_completion_rows():
+def test_reducer_keeps_claim_worker_retries_and_completion_status():
+    """A crashed run's journal still says who ran each job, how often it
+    retried and how it ended, through a checkpoint round-trip too."""
     state = JournalState()
     state.apply({"kind": "submit", "ts": 1.0, **_submit_record(1)})
     state.apply({"kind": "claim", "ticket": "job-000001", "worker": "w-0",
                  "ts": 2.0})
     state.apply({"kind": "retry", "ticket": "job-000001"})
     state.apply({"kind": "complete", "ts": 3.0, **_complete_record(1)})
-    ledger = ProvenanceLedger()
-    assert restore_ledger(ledger, state) == 1
-    entry = ledger.get("job-000001")
-    assert entry.worker == "w-0"
-    assert entry.retries == 1
-    assert entry.status == "done"
-    assert entry.submitted_at == 1.0 and entry.finished_at == 3.0
+    for reduced in (state, JournalState.from_payload(state.to_payload())):
+        assert reduced.claims["job-000001"]["worker"] == "w-0"
+        assert reduced.retries["job-000001"] == 1
+        completion = reduced.completions[reduced.tickets["job-000001"]]
+        assert completion["status"] == "done"
+        assert reduced.submits["k1"]["ts"] == 1.0 and completion["ts"] == 3.0
 
 
 # -- dead-letter queue ------------------------------------------------------
@@ -299,6 +299,37 @@ def test_campaign_resume_replays_completions_byte_identically(
         assert all(broker.job(t).replayed for t in report2.tickets)
     finally:
         broker.shutdown()
+
+
+def test_restarted_broker_tickets_continue_past_the_journal(
+        world, journaled_broker, tmp_path):
+    """A broker restarted on a journal must not reuse the crashed run's
+    tickets, or its claim and retry records land on the old run's."""
+    queries = [f"Identify the impact at a country level due to {cable} "
+               "cable failure" for cable in world.cable_names()[:5]]
+    broker = journaled_broker()
+    try:
+        for ticket in [broker.submit(q) for q in queries[:3]]:
+            assert broker.wait(ticket, timeout=120).state is JobState.DONE
+    finally:
+        broker.shutdown()
+    first, _ = replay_directory(str(tmp_path / "wal"), truncate=False)
+    assert len(first.claims) == 3
+    broker = journaled_broker()
+    try:
+        fresh = [broker.submit(q) for q in queries[3:]]
+        for ticket in fresh:
+            assert broker.wait(ticket, timeout=120).state is JobState.DONE
+        assert broker.stats()["submitted"] == 2
+    finally:
+        broker.shutdown()
+    newest = max(ticket_number(t) for t in first.tickets)
+    assert all(ticket_number(t) > newest for t in fresh)
+    second, _ = replay_directory(str(tmp_path / "wal"), truncate=False)
+    for ticket, claim in first.claims.items():
+        assert second.claims[ticket] == claim
+        assert second.tickets[ticket] == first.tickets[ticket]
+    assert len(second.claims) == 5
 
 
 def test_submit_during_completion_append_joins_instead_of_rerunning(
@@ -412,7 +443,7 @@ def test_circuit_open_submission_goes_straight_to_quarantine(world, tmp_path):
         assert job.state is JobState.QUARANTINED
         assert "circuit breaker" in job.error
         assert broker.stats()["finished_total"]["quarantined"] == 1
-        assert broker.ledger.get(ticket).status == "quarantined"
+        assert broker.job(ticket).to_dict()["state"] == "quarantined"
         # Draining re-closes the circuit: the same query runs for real.
         assert len(broker.deadletter.drain()) == 1
         ticket = broker.submit(CS1)

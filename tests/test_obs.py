@@ -2,7 +2,7 @@
 
 Covers the obs primitives in isolation, the wiring that threads trace
 context across the broker/worker process boundary, the provenance join
-(ledger rows carry ``trace_id``), the alert-to-forensic-case trace
+(``Job.to_dict()`` carries ``trace_id``), the alert-to-forensic-case trace
 linkage, the EventBus drop accounting regression, and the CLI export
 surface (``--trace-out`` Chrome trace JSON).
 """
@@ -241,10 +241,8 @@ def test_thread_backend_trace_topology_and_ledger_join(world):
         job = broker.wait(ticket)
         assert job.state is JobState.DONE
         assert job.trace_id
-        # Satellite: provenance rows join against the trace.
-        ledger_row = broker.ledger.get(ticket)
-        assert ledger_row.trace_id == job.trace_id
-        assert ledger_row.to_dict()["trace_id"] == job.trace_id
+        # Satellite: the job's provenance joins against the trace.
+        assert broker.job(ticket).to_dict()["trace_id"] == job.trace_id
         records = broker.tracer.records(job.trace_id)
 
     by_name = {r["name"]: r for r in records}

@@ -1,4 +1,4 @@
-"""Serve subsystem: broker, scheduler, workers, cache, campaigns, provenance."""
+"""Serve subsystem: broker, scheduler, workers, cache, campaigns, job provenance."""
 
 import sys
 import threading
@@ -308,7 +308,7 @@ def test_broker_failed_job_does_not_kill_worker(broker):
         shard.system.answer = original
     # The pool survives and serves the next submission.
     assert broker.result(broker.submit(CS1), timeout=30).execution.succeeded
-    assert broker.ledger.get(bad).status == "failed"
+    assert broker.job(bad).to_dict()["state"] == "failed"
 
 
 def test_broker_priority_order_single_worker(world):
@@ -318,8 +318,8 @@ def test_broker_priority_order_single_worker(world):
     broker.start()
     broker.wait_all([low, high], timeout=30)
     # The high-priority job must have started first.
-    assert (broker.ledger.get(high).started_at
-            <= broker.ledger.get(low).started_at)
+    assert (broker.job(high).started_at
+            <= broker.job(low).started_at)
     broker.shutdown()
 
 
@@ -367,9 +367,9 @@ def test_cache_hit_source_is_byte_identical_to_cold(world):
     with QueryBroker(world, config=ServeConfig(workers=1)) as broker:
         broker.result(broker.submit(CS1), timeout=30)  # warm the cache
         warm = broker.result(broker.submit(CS1), timeout=30)
-        hit_stages = [s for s in broker.ledger.get("job-000002").stages
+        hit_stages = [s for s in broker.job("job-000002").result.stage_trace
                       if s.cache_hit]
-    assert {s.stage for s in hit_stages} == {
+    assert {s.agent for s in hit_stages} == {
         "querymind", "workflowscout", "solutionweaver"}
     assert warm.solution.source_code == cold.solution.source_code
     assert warm.solution.source_code.encode() == cold.solution.source_code.encode()
@@ -380,7 +380,8 @@ def test_broker_without_cache(world):
         broker.result(broker.submit(CS1), timeout=30)
         broker.result(broker.submit(CS1), timeout=30)
         assert broker.stats()["cache"] is None
-    assert broker.ledger.get("job-000002").cache_hits() == 0
+    assert not any(s.cache_hit
+                   for s in broker.job("job-000002").result.stage_trace)
 
 
 # -- provenance -------------------------------------------------------------
@@ -389,22 +390,22 @@ def test_broker_without_cache(world):
 def test_provenance_records_stage_attribution(broker):
     ticket = broker.submit(CS1)
     broker.wait(ticket, timeout=30)
-    entry = broker.ledger.get(ticket)
-    assert [s.stage for s in entry.stages] == [
+    entry = broker.job(ticket)
+    assert [s.agent for s in entry.result.stage_trace] == [
         "querymind", "workflowscout", "solutionweaver", "executor"]
-    assert entry.status == "done"
+    assert entry.state is JobState.DONE
     assert entry.worker
     assert entry.run_duration_s >= 0.0
     assert entry.queue_delay_s >= 0.0
     payload = entry.to_dict()
-    assert payload["job_id"] == ticket
+    assert payload["ticket"] == ticket
     assert len(payload["stages"]) == 4
 
 
 def test_provenance_summary_aggregates(broker):
     for _ in range(3):
         broker.wait(broker.submit(CS1), timeout=30)
-    summary = broker.ledger.summary()
+    summary = broker.provenance_summary()
     assert summary["finished"] >= 3
     assert summary["per_stage"]["querymind"]["calls"] >= 3
     # Two of the three identical queries should have hit the cache.
@@ -476,10 +477,10 @@ def test_broker_submit_after_shutdown_raises_cleanly(world):
     before = broker.stats()["submitted"]
     with pytest.raises(BrokerError, match="shut down"):
         broker.submit(CS1)
-    # No orphaned queued job or ledger entry left behind.
+    # No orphaned queued job left behind.
     assert broker.stats()["submitted"] == before
     assert broker.stats()["states"].get("queued", 0) == 0
-    assert len(broker.ledger) == 0
+    assert broker.provenance_summary()["jobs"] == 0
 
 
 def test_broker_prunes_finished_jobs_beyond_retention(world):
@@ -495,7 +496,7 @@ def test_broker_prunes_finished_jobs_beyond_retention(world):
     assert stats["pruned"] == 3
     assert stats["finished_total"]["done"] == 5
     assert sum(stats["states"].values()) == 2
-    assert len(broker.ledger) == 2
+    assert broker.provenance_summary()["jobs"] == 2
     with pytest.raises(BrokerError):
         broker.status(tickets[0])  # pruned tickets are forgotten
 
@@ -524,7 +525,8 @@ def test_cancel_queued_job(world):
         broker.result(ticket, timeout=1)
     stats = broker.stats()
     assert stats["finished_total"]["cancelled"] == 1
-    assert broker.ledger.get(ticket).status == "cancelled"
+    assert broker.job(ticket).to_dict()["state"] == "cancelled"
+    assert broker.job(ticket).finished_at > 0.0
     broker.shutdown()
 
 
@@ -546,8 +548,8 @@ def test_cancelled_job_never_reaches_a_worker(world):
     broker.shutdown()  # drains the queue, including the cancelled pop
     assert broker.status(doomed) is JobState.CANCELLED
     # The worker skipped it: no start was ever recorded.
-    assert broker.ledger.get(doomed).started_at == 0.0
-    assert broker.ledger.get(doomed).worker == ""
+    assert broker.job(doomed).started_at == 0.0
+    assert broker.job(doomed).worker == ""
 
 
 # -- cache persistence ------------------------------------------------------
@@ -657,7 +659,7 @@ def test_broker_priority_bands_under_contention_single_worker(world):
     broker.start()
     broker.wait_all(low + [high], timeout=120)
     broker.shutdown()
-    started = {t: broker.ledger.get(t).started_at for t in low + [high]}
+    started = {t: broker.job(t).started_at for t in low + [high]}
     assert started[high] <= min(started[t] for t in low)
     assert sorted(low, key=lambda t: started[t]) == low  # FIFO across shards
 
