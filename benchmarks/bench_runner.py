@@ -237,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
         ("journal fsync per job",
          durability["journal_fsync_ms_per_job"] <= max_fsync_ms,
          f"{durability['journal_fsync_ms_per_job']:.3f} ms, fastest of "
-         f"{durability['repeats']} journaled rounds (ceiling {max_fsync_ms} "
+         f"{durability['fsync_rounds']} journaled rounds (ceiling {max_fsync_ms} "
          f"ms; throughput tax {durability['journal_overhead_pct']:+.1f}%, "
          "not gated)"),
         ("journal records per job",

@@ -8,6 +8,9 @@ latency signature with the correct onset.
 
 from __future__ import annotations
 
+import threading
+from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.traceroute.probes import build_probe_fleet, probes_in_region, targets_in_region
@@ -48,6 +51,107 @@ def _failed_links_at(
     return frozenset(dead)
 
 
+#: Campaign shapes (one per ``CampaignSpec``) whose pairs, timestamps and
+#: noise grid a world keeps, least recently used first out.  Europe→Asia
+#: over 7 days hourly is 272 pairs × 168 stamps: a 366 KB grid.
+CAMPAIGN_MEMO_SHAPES = 8
+#: Failed-link sets whose hop list one shape keeps (LRU).  A hop list is one
+#: small tuple per pair; the routers that resolved it are dropped.
+CAMPAIGN_MEMO_FAILURE_SETS = 16
+
+
+class _CampaignShape:
+    """What every campaign of one spec on one world has in common.
+
+    ``pairs`` holds ``(probe_id, src_country, src_asn, dst_asn,
+    dst_country)`` per (probe, target); ``stamps`` the sampling times;
+    ``factors`` ``1 + sample_noise`` for every (stamp, pair), stamp-major;
+    ``hops`` one hop list per failed-link set: ``(base_rtt_ms, hop_count,
+    link_ids)`` per pair, ``(None, 0, ())`` when unreachable.
+    """
+
+    __slots__ = ("pairs", "stamps", "factors", "hops")
+
+    def __init__(self, world: SyntheticWorld, spec: CampaignSpec):
+        probes = probes_in_region(world, build_probe_fleet(world, spec.probe_density),
+                                  spec.src_region)
+        targets = targets_in_region(world, spec.dst_region, spec.targets_per_country)
+        self.pairs = tuple(
+            (probe.id, probe.country_code, probe.asn, dst_asn, world.ases[dst_asn].country_code)
+            for probe in probes
+            for dst_asn in targets
+            if dst_asn != probe.asn
+        )
+        stamps = []
+        ts = spec.window_start
+        while ts < spec.window_end:
+            stamps.append(ts)
+            ts += spec.interval_s
+        self.stamps = tuple(stamps)
+        # A generator, not a list: the grid never exists as Python floats.
+        self.factors = array("d", (
+            1.0 + sample_noise(src_asn, dst_asn, ts)
+            for ts in self.stamps
+            for _, _, src_asn, dst_asn, _ in self.pairs
+        ))
+        self.hops: OrderedDict[frozenset[str], tuple[tuple, ...]] = OrderedDict()
+
+
+class CampaignMemo:
+    """Per-world memo of campaign shapes, shared by every thread and shard.
+
+    Keyed on the spec plus how its start and interval print: equal specs
+    such as ``window_start=0`` and ``0.0`` stamp ``0`` and ``0.0``, which
+    rows carry and the noise hashes.  Bounded LRU on both levels.  Each
+    entry is built under the memo's one lock, so concurrent campaigns of
+    one shape build it once (the work is GIL-bound, so waiting costs
+    nothing a second build would not).
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._shapes: OrderedDict[tuple, _CampaignShape] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._shapes)
+
+    def shape(self, world: SyntheticWorld, spec: CampaignSpec) -> _CampaignShape:
+        key = (spec, repr(spec.window_start), repr(spec.interval_s))
+        with self._lock:
+            shape = self._shapes.get(key)
+            if shape is None:
+                shape = self._shapes[key] = _CampaignShape(world, spec)
+                if len(self._shapes) > CAMPAIGN_MEMO_SHAPES:
+                    self._shapes.popitem(last=False)
+            else:
+                self._shapes.move_to_end(key)
+            return shape
+
+    def hops(self, world: SyntheticWorld, shape: _CampaignShape,
+             failed: frozenset[str]) -> tuple[tuple, ...]:
+        with self._lock:
+            hops = shape.hops.get(failed)
+            if hops is None:
+                resolver = PathResolver(world)
+                paths = (resolver.resolve(src_asn, dst_asn, failed)
+                         for _, _, src_asn, dst_asn, _ in shape.pairs)
+                hops = shape.hops[failed] = tuple(
+                    (None, 0, ()) if path is None
+                    else (path.base_rtt_ms, path.hop_count, path.link_ids)
+                    for path in paths
+                )
+                if len(shape.hops) > CAMPAIGN_MEMO_FAILURE_SETS:
+                    shape.hops.popitem(last=False)
+            else:
+                shape.hops.move_to_end(failed)
+            return hops
+
+
+def campaign_memo(world: SyntheticWorld) -> CampaignMemo:
+    """The world's campaign memo (cold for every freshly built world)."""
+    return world.memo("campaign_memo", CampaignMemo)
+
+
 def campaign_rows(
     world: SyntheticWorld,
     spec: CampaignSpec,
@@ -56,11 +160,19 @@ def campaign_rows(
     """Execute a campaign and return every measurement row, time-ordered.
 
     Each row is one traceroute: ``ts``, ``probe_id``, ``src_country``,
-    ``src_asn``, ``dst_asn``, ``dst_country``, ``rtt_ms`` (rounded to the
-    microsecond; ``None`` when the target was unreachable), ``hop_count``
-    and ``link_ids``.  The failed-link set only changes at incident onsets,
-    so every (probe, target) path is resolved once per distinct set; each
-    timestep then only draws the per-sample noise.
+    ``src_asn``, ``dst_asn``, ``dst_country``, ``rtt_ms``
+    (``round(base_rtt_ms * (1 + sample_noise(src_asn, dst_asn, ts)), 3)``;
+    ``None`` when the target was unreachable), ``hop_count`` and
+    ``link_ids``.
+
+    Work that does not depend on the incidents is shared through the
+    world's :func:`campaign_memo`, keyed on ``spec``: the (probe, target)
+    pairs, the timestamps and the noise factor of every sample.  The
+    failed-link set only changes at incident onsets, so the memo also
+    keeps one resolved hop list per failed-link set; every shard of a live
+    replay rides the base world and so shares it.  Rows are fresh dicts on
+    every call (callers may mutate them) and equal the from-scratch result
+    exactly.
 
     Rows hold only scalars and immutable tuples: ``link_ids`` is the
     resolved path's own tuple (``()`` when unreachable), shared by every
@@ -69,46 +181,40 @@ def campaign_rows(
     collections nothing.  Copy ``link_ids`` before mutating it.
     """
     incidents = list(incidents or [])
-    resolver = PathResolver(world)
-    probes = probes_in_region(world, build_probe_fleet(world, spec.probe_density), spec.src_region)
-    targets = targets_in_region(world, spec.dst_region, spec.targets_per_country)
-    pairs = [
-        (probe, dst_asn, world.ases[dst_asn].country_code)
-        for probe in probes
-        for dst_asn in targets
-        if dst_asn != probe.asn
-    ]
+    memo = campaign_memo(world)
+    shape = memo.shape(world, spec)
+    factors, width = shape.factors, len(shape.pairs)
 
-    # (pair fields, path) per set of active incidents.
-    resolved: dict[tuple[bool, ...], list[tuple]] = {}
+    # Per set of active incidents: each pair's row template (copying a dict
+    # beats building one) and base RTT.
+    templates: dict[tuple[bool, ...], list[tuple[dict, float | None]]] = {}
     rows: list[dict] = []
-    ts = spec.window_start
-    while ts < spec.window_end:
+    append = rows.append
+    for step, ts in enumerate(shape.stamps):
         active = tuple(ts >= incident.onset for incident in incidents)
-        hops = resolved.get(active)
-        if hops is None:
-            failed = _failed_links_at(world, incidents, ts)
-            hops = resolved[active] = [
-                (probe.id, probe.country_code, probe.asn, dst_asn, dst_country,
-                 resolver.resolve(probe.asn, dst_asn, failed))
-                for probe, dst_asn, dst_country in pairs
+        row_templates = templates.get(active)
+        if row_templates is None:
+            hops = memo.hops(world, shape, _failed_links_at(world, incidents, ts))
+            row_templates = templates[active] = [
+                ({
+                    "ts": ts,
+                    "probe_id": probe_id,
+                    "src_country": src_country,
+                    "src_asn": src_asn,
+                    "dst_asn": dst_asn,
+                    "dst_country": dst_country,
+                    "rtt_ms": None,
+                    "hop_count": hop_count,
+                    "link_ids": link_ids,
+                }, base_rtt)
+                for (probe_id, src_country, src_asn, dst_asn, dst_country),
+                    (base_rtt, hop_count, link_ids) in zip(shape.pairs, hops)
             ]
-        for probe_id, src_country, src_asn, dst_asn, dst_country, path in hops:
-            if path is None:
-                rtt, hop_count, link_ids = None, 0, ()
-            else:
-                rtt = round(path.base_rtt_ms * (1.0 + sample_noise(src_asn, dst_asn, ts)), 3)
-                hop_count, link_ids = path.hop_count, path.link_ids
-            rows.append({
-                "ts": ts,
-                "probe_id": probe_id,
-                "src_country": src_country,
-                "src_asn": src_asn,
-                "dst_asn": dst_asn,
-                "dst_country": dst_country,
-                "rtt_ms": rtt,
-                "hop_count": hop_count,
-                "link_ids": link_ids,
-            })
-        ts += spec.interval_s
+        offset = step * width
+        for (template, base_rtt), factor in zip(row_templates, factors[offset:offset + width]):
+            row = template.copy()
+            row["ts"] = ts
+            if base_rtt is not None:
+                row["rtt_ms"] = round(base_rtt * factor, 3)
+            append(row)
     return rows

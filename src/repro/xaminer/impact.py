@@ -180,49 +180,3 @@ def compute_impact(world: SyntheticWorld, failed_link_ids: list[str]) -> ImpactR
     if failed:
         report.isolated_asns = isolated_asns(world, failed)
     return report
-
-
-def weighted_impact(
-    world: SyntheticWorld, cable_weights: dict[str, float]
-) -> ImpactReport:
-    """Expectation-based impact: cable failure weights scale link damage.
-
-    Every link on a weighted cable contributes ``weight`` of a full failure
-    to the counts.  Fractional contributions keep expectation linearity —
-    :func:`compute_impact` on a Bernoulli sample converges to this as trials
-    grow.
-    """
-    report = ImpactReport(failed_link_ids=[])
-    report.by_country = _country_totals(world)
-    affected_ases: dict[str, dict[int, float]] = {code: {} for code in world.countries}
-    affected_as_links: dict[str, dict[tuple[int, int], float]] = {
-        code: {} for code in world.countries
-    }
-    ips: dict[str, float] = {code: 0.0 for code in world.countries}
-    links: dict[str, float] = {code: 0.0 for code in world.countries}
-
-    for cable_id, weight in sorted(cable_weights.items()):
-        if weight <= 0:
-            continue
-        for link in world.links_on_cable(cable_id):
-            report.total_capacity_lost_gbps += weight * link.capacity_gbps
-            report.failed_link_ids.append(link.id)
-            for country, asn in ((link.country_a, link.asn_a), (link.country_b, link.asn_b)):
-                record = report.by_country[country]
-                ips[country] += weight
-                links[country] += weight
-                record.capacity_lost_gbps += weight * link.capacity_gbps
-                current = affected_ases[country].get(asn, 0.0)
-                affected_ases[country][asn] = max(current, weight)
-                pair = link.as_pair
-                current = affected_as_links[country].get(pair, 0.0)
-                affected_as_links[country][pair] = max(current, weight)
-
-    for code, record in report.by_country.items():
-        # Round expectations to int-valued fields via floats kept in dict form.
-        record.ips_affected = int(round(ips[code]))
-        record.links_affected = int(round(links[code]))
-        record.ases_affected = int(round(sum(affected_ases[code].values())))
-        record.as_links_affected = int(round(sum(affected_as_links[code].values())))
-    report.failed_link_ids = sorted(set(report.failed_link_ids))
-    return report

@@ -11,6 +11,9 @@ which ``canonical_json`` (what the digests hash) writes identically.
 
 import dataclasses
 import gc
+import random
+import sys
+import threading
 
 import pytest
 
@@ -23,8 +26,15 @@ from repro.synth.iplinks import rank_cables_for_link, true_path_km
 from repro.synth.scenarios import make_latency_incident
 from repro.synth.world import WorldConfig, build_world
 from repro.topology.relations import AdjacencyIndex, ASGraph
+from repro.traceroute import campaign as campaign_module
 from repro.traceroute.api import latency_series, run_campaign
-from repro.traceroute.campaign import CampaignSpec
+from repro.traceroute.campaign import (
+    CAMPAIGN_MEMO_FAILURE_SETS,
+    CAMPAIGN_MEMO_SHAPES,
+    CampaignSpec,
+    campaign_memo,
+    campaign_rows,
+)
 from repro.synth.geography import Region
 
 DAY = 86_400.0
@@ -111,6 +121,140 @@ def test_measurement_rows_are_not_gc_tracked(seeded_world):
     assert not any(gc.is_tracked(row) for row in updates)
 
 
+# -- the per-world campaign memo ---------------------------------------------------
+
+
+def _memo_calls(world):
+    # One spec with no, one and two incidents, a different region pair and a
+    # different interval: the memo shares pairs, stamps and noise per spec
+    # and hop lists per failed-link set, so each call mixes hits and misses.
+    seamewe5 = make_latency_incident(world, "SeaMeWe-5", days_since_onset=3.0)
+    aae1 = make_latency_incident(world, "AAE-1", days_since_onset=2.0)
+    spec = CampaignSpec(Region.EUROPE, Region.ASIA, 0.0, 7 * DAY, interval_s=15_000.0)
+    return [
+        (spec, []),
+        (spec, [seamewe5]),
+        (spec, [seamewe5, aae1]),
+        (dataclasses.replace(spec, dst_region=Region.OCEANIA), [aae1]),
+        (dataclasses.replace(spec, interval_s=36_000.0), [seamewe5]),
+    ]
+
+
+@pytest.fixture(scope="module")
+def memo_references(seeded_world):
+    # Each call's oracle rows as (items, canonical JSON), computed once.
+    references = []
+    for spec, incidents in _memo_calls(seeded_world):
+        rows = [m.to_dict() for m in oracle.run_campaign_spec(seeded_world, spec, incidents)]
+        references.append((_items(rows), canonical_json(rows)))
+    return references
+
+
+@pytest.mark.parametrize("order", ["forward", "shuffled"])
+def test_campaign_memo_equals_oracle_cold_and_warm(seeded_world, memo_references, order):
+    world = build_world(seeded_world.config)  # a fresh world: its memo is cold
+    calls = _memo_calls(world)
+    indices = list(range(len(calls)))
+    if order == "shuffled":
+        random.Random(seeded_world.config.seed).shuffle(indices)
+    for _ in ("cold", "warm"):
+        for index in indices:
+            spec, incidents = calls[index]
+            rows = campaign_rows(world, spec, incidents)
+            assert (_items(rows), canonical_json(rows)) == memo_references[index]
+            assert all(type(row["link_ids"]) is tuple for row in rows)
+    assert len(campaign_memo(world)) == len({spec for spec, _ in calls})
+
+
+def test_equal_specs_that_print_differently_never_share_rows(world, incident):
+    # CampaignSpec(window_start=0) == CampaignSpec(window_start=0.0), but the
+    # first stamps ts=0 and hashes "0" into the noise; either order must
+    # still match the oracle.
+    specs = [CampaignSpec(Region.EUROPE, Region.ASIA, 0, 2 * 86_400, interval_s=21_600),
+             CampaignSpec(Region.EUROPE, Region.ASIA, 0.0, 2 * DAY, interval_s=21_600.0)]
+    assert specs[0] == specs[1]
+    references = [[m.to_dict() for m in oracle.run_campaign_spec(world, spec, [incident])]
+                  for spec in specs]
+    assert canonical_json(references[0]) != canonical_json(references[1])
+    for order in ((0, 1), (1, 0)):
+        fresh = build_world(world.config)
+        for index in order:
+            _assert_rows_equal_oracle(campaign_rows(fresh, specs[index], [incident]),
+                                      references[index])
+
+
+def test_mutating_rows_never_reaches_the_next_call(world, incident):
+    spec = CampaignSpec(Region.EUROPE, Region.ASIA, 0.0, 2 * DAY)
+    first = campaign_rows(world, spec, [incident])
+    expected = canonical_json(campaign_rows(world, spec, [incident]))
+    for row in first:
+        row["rtt_ms"], row["link_ids"], row["extra"] = -1.0, ["x"], True
+        del row["ts"]
+    again = campaign_rows(world, spec, [incident])
+    assert canonical_json(again) == expected
+    assert not {id(row) for row in first} & {id(row) for row in again}
+
+
+def test_campaign_memo_is_bounded(small_world, monkeypatch):
+    world = build_world(small_world.config)
+    memo = campaign_memo(world)
+    for extra in range(CAMPAIGN_MEMO_SHAPES + 3):
+        campaign_rows(world, CampaignSpec(Region.EUROPE, Region.ASIA, 0.0, DAY,
+                                          interval_s=3600.0 + extra))
+        assert len(memo) <= CAMPAIGN_MEMO_SHAPES
+    assert len(memo) == CAMPAIGN_MEMO_SHAPES
+
+    # This world has fewer cut-able cables than the real hop-list bound.
+    monkeypatch.setattr(campaign_module, "CAMPAIGN_MEMO_FAILURE_SETS", 4)
+    spec = CampaignSpec(Region.EUROPE, Region.ASIA, 0.0, 7 * DAY, interval_s=DAY)
+    cables = [cable.name for cable in world.cables.values() if world.links_on_cable(cable.id)]
+    assert len(cables) > 4
+    for name in cables:
+        campaign_rows(world, spec, [make_latency_incident(world, name, days_since_onset=1.0)])
+        assert len(memo.shape(world, spec).hops) <= 4
+    assert len(memo.shape(world, spec).hops) == 4
+    assert len(memo) <= CAMPAIGN_MEMO_SHAPES
+    assert 4 < CAMPAIGN_MEMO_FAILURE_SETS
+
+
+def test_concurrent_campaigns_build_one_noise_grid(monkeypatch):
+    # More threads than cores, switching often: without the single-flight
+    # lock a second thread would draw the grid again.
+    world = build_world(WorldConfig(seed=7))
+    spec = CampaignSpec(Region.EUROPE, Region.ASIA, 0.0, 7 * DAY)
+    incidents = [make_latency_incident(world, "SeaMeWe-5")]
+    draws = []
+    real_noise = campaign_module.sample_noise
+
+    def counting_noise(*args):
+        draws.append(args)
+        return real_noise(*args)
+
+    monkeypatch.setattr(campaign_module, "sample_noise", counting_noise)
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def run(slot):
+        start.wait(timeout=30)
+        results[slot] = campaign_rows(world, spec, incidents)
+
+    threads = [threading.Thread(target=run, args=(slot,)) for slot in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    shape = campaign_memo(world).shape(world, spec)
+    assert len(draws) == len(shape.factors) == len(shape.pairs) * len(shape.stamps)
+    assert results[0] and len({id(rows) for rows in results}) == 4
+    assert len({canonical_json(rows) for rows in results}) == 1
+
+
 @pytest.mark.parametrize("bin_seconds", [3600.0, 5400.0])
 @pytest.mark.parametrize("group_by", GROUP_BYS)
 def test_latency_series_equal_oracle(campaign, group_by, bin_seconds):
@@ -181,6 +325,12 @@ def test_worlds_from_one_config_never_share_a_memo():
     assert AdjacencyIndex.shared(a) is not AdjacencyIndex.shared(b)
     assert a.all_prefixes() is not b.all_prefixes()
     assert ASGraph.shared(a) is ASGraph.shared(a)
+    spec = CampaignSpec(Region.EUROPE, Region.ASIA, 0.0, DAY)
+    assert campaign_rows(a, spec) == campaign_rows(a, spec)
+    assert len(campaign_memo(a)) == 1
+    assert len(campaign_memo(b)) == 0
+    assert campaign_rows(b, spec) == campaign_rows(a, spec)
+    assert campaign_memo(a) is not campaign_memo(b)
 
 
 def test_foreign_link_bypasses_the_memo(world):

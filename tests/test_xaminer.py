@@ -5,7 +5,7 @@ import pytest
 from repro.xaminer.aggregate import as_impact_embeddings, country_impact_embeddings, rank_countries
 from repro.xaminer.events import event_footprint
 from repro.xaminer.failures import expected_failure_weights, links_for_cables, simulate_failures
-from repro.xaminer.impact import compute_impact, weighted_impact
+from repro.xaminer.impact import compute_impact
 from repro.xaminer.risk import country_risk_profile, most_exposed_countries
 from repro.xaminer.api import (
     combine_impact_reports,
@@ -139,14 +139,6 @@ def test_impact_monotone_in_failure_set(world):
         assert (report_big.by_country[code].links_affected
                 >= report_small.by_country[code].links_affected)
     assert report_big.total_capacity_lost_gbps >= report_small.total_capacity_lost_gbps
-
-
-def test_weighted_impact_scales_with_weight(world):
-    half = weighted_impact(world, {"cable-seamewe-5": 0.5})
-    full = weighted_impact(world, {"cable-seamewe-5": 1.0})
-    assert half.total_capacity_lost_gbps == pytest.approx(
-        full.total_capacity_lost_gbps * 0.5
-    )
 
 
 def test_impact_scores_bounded(world):
