@@ -8,6 +8,7 @@ bump — mass withdrawals are the classic infrastructure-failure signature.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.bgp.messages import BGPUpdate, UpdateKind
 
@@ -79,27 +80,56 @@ def detect_update_anomalies(
     z_threshold: float = 3.0,
 ) -> list[RoutingAnomaly]:
     """Anomalous bins in the update stream, most severe first."""
-    bins = update_rate_series(updates, window_start, window_end, bin_seconds)
-    if not bins:
-        return []
-    zscores = _robust_zscores([b["count"] for b in bins])
-    anomalies: list[RoutingAnomaly] = []
-    for b, z in zip(bins, zscores):
-        if z < z_threshold:
-            continue
-        lo, hi = b["bin_start"], b["bin_start"] + bin_seconds
-        touched = tuple(
-            sorted({u.prefix for u in updates if lo <= u.ts < hi})
+    records = ((u.ts, u.kind is UpdateKind.WITHDRAW, u.prefix) for u in updates)
+    return anomalous_bins(records, window_start, window_end, bin_seconds, z_threshold)
+
+
+def anomalous_bins(
+    records: Iterable[tuple[float, bool, str]],
+    window_start: float,
+    window_end: float,
+    bin_seconds: float = 3600.0,
+    z_threshold: float = 3.0,
+) -> list[RoutingAnomaly]:
+    """Anomalous bins over ``(ts, withdrawn, prefix)`` records, most severe
+    first, in one pass over the records.
+
+    Bins are counted as :func:`update_rate_series` counts them.  An
+    anomaly's prefixes are those updated in ``[bin start, bin start +
+    bin_seconds)``; every bin's are collected during the pass, checking the
+    bins either side of the counted one too, since rounding can put a stamp
+    on the far side of an edge.
+    """
+    if bin_seconds <= 0:
+        raise ValueError("bin_seconds must be positive")
+    n_bins = max(1, int((window_end - window_start) / bin_seconds))
+    starts = [window_start + i * bin_seconds for i in range(n_bins)]
+    counts = [0] * n_bins
+    withdrawals = [0] * n_bins
+    prefixes: list[set[str]] = [set() for _ in range(n_bins)]
+    for ts, withdrawn, prefix in records:
+        idx = int((ts - window_start) / bin_seconds)
+        for near in (idx - 1, idx, idx + 1):
+            if 0 <= near < n_bins and starts[near] <= ts < starts[near] + bin_seconds:
+                prefixes[near].add(prefix)
+        if ts == window_end:
+            idx = n_bins - 1  # the window is closed on the right
+        if 0 <= idx < n_bins:
+            counts[idx] += 1
+            if withdrawn:
+                withdrawals[idx] += 1
+
+    anomalies = [
+        RoutingAnomaly(
+            window_start=starts[i],
+            window_end=starts[i] + bin_seconds,
+            update_count=counts[i],
+            withdrawal_count=withdrawals[i],
+            zscore=z,
+            prefixes=tuple(sorted(prefixes[i])),
         )
-        anomalies.append(
-            RoutingAnomaly(
-                window_start=lo,
-                window_end=hi,
-                update_count=b["count"],
-                withdrawal_count=b["withdrawals"],
-                zscore=z,
-                prefixes=touched,
-            )
-        )
+        for i, z in enumerate(_robust_zscores(counts))
+        if z >= z_threshold
+    ]
     anomalies.sort(key=lambda a: a.zscore, reverse=True)
     return anomalies

@@ -9,7 +9,7 @@ consequences in the update stream.
 
 from __future__ import annotations
 
-from repro.bgp.anomaly import detect_update_anomalies, update_rate_series
+from repro.bgp.anomaly import anomalous_bins, update_rate_series
 from repro.bgp.collector import CollectorConfig, shared_collector
 from repro.bgp.messages import BGPUpdate, UpdateKind, path_edit_distance
 from repro.synth.world import SyntheticWorld
@@ -40,12 +40,28 @@ def detect_routing_anomalies(
     bin_seconds: float = 3600.0,
     z_threshold: float = 3.0,
 ) -> list[dict]:
-    """Anomalous update-volume windows from raw update rows."""
-    updates = [BGPUpdate.from_dict(row) for row in update_rows]
-    anomalies = detect_update_anomalies(
-        updates, window_start, window_end, bin_seconds, z_threshold
+    """Anomalous update-volume windows from raw update rows.
+
+    Reads each row's ``ts``, ``kind`` and ``prefix`` in one pass; a ``kind``
+    other than ``A`` or ``W`` raises ``ValueError``.
+    """
+    anomalies = anomalous_bins(
+        _update_records(update_rows), window_start, window_end, bin_seconds, z_threshold
     )
     return [a.to_dict() for a in anomalies]
+
+
+def _update_records(update_rows: list[dict]):
+    """``(ts, withdrawn, prefix)`` per update row."""
+    for row in update_rows:
+        kind = row["kind"]
+        if kind == UpdateKind.WITHDRAW:
+            withdrawn = True
+        elif kind == UpdateKind.ANNOUNCE:
+            withdrawn = False
+        else:
+            raise ValueError(f"{kind!r} is not a valid UpdateKind")
+        yield float(row["ts"]), withdrawn, row["prefix"]
 
 
 def update_volume_series(

@@ -397,19 +397,29 @@ def t_score_suspect_cables(anomaly_summary, measurements, mappings):
         return {"ranking": [], "top_cable_id": None, "top_cable_name": None,
                 "margin": 0.0, "vanished_link_count": 0}
 
-    pre_links = {}
-    post_links = {}
-    for row in measurements:
-        pair = f"{row['src_country']}->{row['dst_country']}"
+    # Per affected pair, the paths (indices into the measurement table's
+    # link pool) seen before and after the onset, in order of first use.
+    pre_paths = {}
+    post_paths = {}
+    for src, dst, ts, path in zip(measurements["src_country"], measurements["dst_country"],
+                                  measurements["ts"], measurements["link_index"]):
+        pair = f"{src}->{dst}"
         if pair not in affected:
             continue
-        bucket = pre_links if row["ts"] < onset else post_links
-        bucket.setdefault(pair, set()).update(row.get("link_ids", []))
+        bucket = pre_paths if ts < onset else post_paths
+        bucket.setdefault(pair, {})[path] = None
+
+    pool = measurements["link_pool"]
+
+    def links(paths):
+        found = set()
+        for path in paths:
+            found.update(pool[path])
+        return found
 
     vanished_votes = {}
-    for pair, links_before in pre_links.items():
-        links_after = post_links.get(pair, set())
-        for link_id in links_before - links_after:
+    for pair, paths_before in pre_paths.items():
+        for link_id in links(paths_before) - links(post_paths.get(pair, ())):
             vanished_votes[link_id] = vanished_votes.get(link_id, 0) + 1
 
     id_to_name = {}
@@ -544,27 +554,52 @@ def _register_qa(name: str, code: str) -> None:
 
 _register_qa("sanity_bounds", '''
 def qa_sanity_bounds(results):
-    """Walk outputs checking value ranges: scores in [0,1], RTTs positive."""
-    violations = []
+    """Walk outputs checking value ranges: scores in [0,1], RTTs positive.
 
-    def walk(path, value):
+    Lists and tuples are sampled to their first 200 items.  A value is
+    named by the last dict key above it (``s1.rtt_ms[3]`` is an
+    ``rtt_ms``); scalars are checked in their container's loop.
+    """
+    violations = []
+    unit_leaves = {"score", "confidence", "p_value", "fraction"}
+    positive_leaves = {"rtt_ms", "median_rtt_ms", "capacity_lost_gbps"}
+    bounded = unit_leaves | positive_leaves
+    leaves = {}  # str key -> the name it gives its values
+
+    def check(path, leaf, value):
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            return
+        if leaf in unit_leaves and not (-1e-9 <= value <= 1.0 + 1e-9):
+            violations.append(f"{path}={value} outside [0,1]")
+        if leaf in positive_leaves and value < 0:
+            violations.append(f"{path}={value} negative")
+
+    def walk(path, leaf, value):
         if isinstance(value, dict):
             for key, item in value.items():
-                walk(f"{path}.{key}", item)
-        elif isinstance(value, list):
+                name = leaves.get(key) if type(key) is str else None
+                if name is None:
+                    name = f"{key}".rsplit(".", 1)[-1].split("[")[0]
+                    if type(key) is str:
+                        leaves[key] = name
+                if isinstance(item, (dict, list, tuple)):
+                    walk(f"{path}.{key}", name, item)
+                elif name in bounded:
+                    check(f"{path}.{key}", name, item)
+        else:
+            scalars = leaf in bounded
             for i, item in enumerate(value[:200]):
-                walk(f"{path}[{i}]", item)
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            leaf = path.rsplit(".", 1)[-1].split("[")[0]
-            if leaf in ("score", "confidence", "p_value", "fraction") and not (
-                -1e-9 <= value <= 1.0 + 1e-9
-            ):
-                violations.append(f"{path}={value} outside [0,1]")
-            if leaf in ("rtt_ms", "median_rtt_ms", "capacity_lost_gbps") and value < 0:
-                violations.append(f"{path}={value} negative")
+                if isinstance(item, (dict, list, tuple)):
+                    walk(f"{path}[{i}]", leaf, item)
+                elif scalars:
+                    check(f"{path}[{i}]", leaf, item)
 
     for step_id, output in results.items():
-        walk(step_id, output)
+        leaf = step_id.rsplit(".", 1)[-1].split("[")[0]
+        if isinstance(output, (dict, list, tuple)):
+            walk(step_id, leaf, output)
+        elif leaf in bounded:
+            check(step_id, leaf, output)
     return {"passed": not violations, "violations": violations[:20],
             "violation_count": len(violations)}
 ''')
@@ -572,9 +607,12 @@ def qa_sanity_bounds(results):
 
 _register_qa("coverage_check", '''
 def qa_coverage_check(results):
-    """Every step should have produced a non-empty output."""
+    """Every step should have produced a non-empty output (a measurement
+    table is empty when it has no rows)."""
     empty = []
     for step_id, output in results.items():
+        if isinstance(output, dict) and "link_index" in output:
+            output = output["link_index"]
         if output is None or (hasattr(output, "__len__") and len(output) == 0):
             empty.append(step_id)
     covered = len(results) - len(empty)
@@ -654,10 +692,11 @@ def qa_significance_assessment(results):
         if isinstance(value, dict):
             if "p_value" in value and isinstance(value["p_value"], (int, float)):
                 p_values.append(float(value["p_value"]))
-            for item in value.values():
-                walk(item)
-        elif isinstance(value, list):
-            for item in value[:300]:
+            items = value.values()
+        else:
+            items = value[:300]
+        for item in items:
+            if isinstance(item, (dict, list, tuple)):
                 walk(item)
 
     walk(results)

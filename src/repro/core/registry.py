@@ -327,8 +327,9 @@ def default_registry() -> Registry:
         ["latency_measurement", "traceroute", "temporal_data"],
         [("src_region", "str region name"), ("dst_region", "str"),
          ("window_start", "float"), ("window_end", "float"), ("interval_s", "float")],
-        [("measurements", "list of {ts,probe_id,src_country,dst_country,rtt_ms,link_ids} rows; "
-                          "link_ids is an immutable tuple shared by rows on one path")],
+        [("measurements", "table: one tuple per column {ts,probe_id,src_country,src_asn,"
+                          "dst_asn,dst_country,rtt_ms,hop_count,link_index}, a row per "
+                          "traceroute; link_pool[link_index] is the row's link-id path")],
         "repro.traceroute.api:run_campaign",
         constraints=["cost scales with window/interval and probe counts"],
         cost_hint="expensive",
@@ -337,7 +338,8 @@ def default_registry() -> Registry:
         "traceroute.latency_series",
         "Bin raw measurements into latency time series per country pair.",
         ["series_aggregation", "latency_series"],
-        [("measurement_rows", "list"), ("group_by", "str"), ("bin_seconds", "float")],
+        [("measurement_rows", "table from traceroute.run_campaign"), ("group_by", "str"),
+         ("bin_seconds", "float")],
         [("series", "dict key -> list of {bin_start,median_rtt_ms,...}")],
         "repro.traceroute.api:latency_series",
     ))
@@ -353,8 +355,8 @@ def default_registry() -> Registry:
         "traceroute.paths_crossing_links",
         "Measurements whose forwarding path crossed any of the given IP links.",
         ["path_filtering", "infrastructure_correlation"],
-        [("measurement_rows", "list"), ("link_ids", "list[str]")],
-        [("rows", "filtered measurement rows")],
+        [("measurement_rows", "table from traceroute.run_campaign"), ("link_ids", "list[str]")],
+        [("rows", "the crossing rows, as a table of the same columns and link_pool")],
         "repro.traceroute.api:paths_crossing_links",
     ))
 

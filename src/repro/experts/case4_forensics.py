@@ -36,19 +36,29 @@ STAGE_KINDS = frozenset(
 )
 
 
-def _vanished_link_votes(measurements: list[dict], affected: set[str], onset: float) -> dict[str, int]:
+def _vanished_link_votes(measurements: dict[str, tuple], affected: set[str],
+                         onset: float) -> dict[str, int]:
     """Links present on anomalous paths before the onset but absent after."""
-    pre: dict[str, set[str]] = {}
-    post: dict[str, set[str]] = {}
-    for row in measurements:
-        pair = f"{row['src_country']}->{row['dst_country']}"
+    pre: dict[str, dict[int, None]] = {}
+    post: dict[str, dict[int, None]] = {}
+    for src, dst, ts, path in zip(measurements["src_country"], measurements["dst_country"],
+                                  measurements["ts"], measurements["link_index"]):
+        pair = f"{src}->{dst}"
         if pair not in affected:
             continue
-        bucket = pre if row["ts"] < onset else post
-        bucket.setdefault(pair, set()).update(row.get("link_ids", []))
+        bucket = pre if ts < onset else post
+        bucket.setdefault(pair, {})[path] = None
+    pool = measurements["link_pool"]
+
+    def links(paths) -> set[str]:
+        found: set[str] = set()
+        for path in paths:
+            found.update(pool[path])
+        return found
+
     votes: dict[str, int] = {}
-    for pair, links_before in pre.items():
-        for link_id in links_before - post.get(pair, set()):
+    for pair, paths_before in pre.items():
+        for link_id in links(paths_before) - links(post.get(pair, ())):
             votes[link_id] = votes.get(link_id, 0) + 1
     return votes
 

@@ -10,7 +10,7 @@ starts from.
 
 from repro.traceroute.probes import Probe, build_probe_fleet
 from repro.traceroute.rtt import PathResolver
-from repro.traceroute.campaign import CampaignSpec, campaign_rows
+from repro.traceroute.campaign import CampaignSpec, campaign_table
 from repro.traceroute.anomaly import LatencyAnomaly, detect_series_anomalies
 from repro.traceroute.api import (
     detect_latency_anomalies,
@@ -23,7 +23,7 @@ __all__ = [
     "build_probe_fleet",
     "PathResolver",
     "CampaignSpec",
-    "campaign_rows",
+    "campaign_table",
     "LatencyAnomaly",
     "detect_series_anomalies",
     "detect_latency_anomalies",

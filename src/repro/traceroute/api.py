@@ -1,14 +1,17 @@
 """Registry-facing traceroute functions.
 
 ``run_campaign`` accepts region names as strings (agents speak JSON) and the
-ambient ``incidents`` the measurement context injects; rows come back as
-plain dicts for downstream adaptation.
+ambient ``incidents`` the measurement context injects.  Measurements come
+back as a column table (one tuple per field, paths pooled; see
+:func:`~repro.traceroute.campaign.campaign_table`), which
+``latency_series`` and ``paths_crossing_links`` read and generated
+workflows adapt column by column.
 """
 
 from __future__ import annotations
 
 from repro.traceroute.anomaly import detect_series_anomalies
-from repro.traceroute.campaign import CampaignSpec, campaign_rows
+from repro.traceroute.campaign import MEASUREMENT_COLUMNS, CampaignSpec, campaign_table
 from repro.traceroute.probes import build_probe_fleet, probes_in_region, targets_in_region
 from repro.traceroute.series import latency_series  # noqa: F401 - registry entry
 from repro.synth.geography import Region
@@ -23,8 +26,8 @@ def run_campaign(
     window_end: float,
     interval_s: float = 3600.0,
     incidents: list | None = None,
-) -> list[dict]:
-    """Periodic traceroutes from one region to another, as dict rows."""
+) -> dict[str, tuple]:
+    """Periodic traceroutes from one region to another, as a column table."""
     spec = CampaignSpec(
         src_region=Region(src_region),
         dst_region=Region(dst_region),
@@ -32,7 +35,7 @@ def run_campaign(
         window_end=window_end,
         interval_s=interval_s,
     )
-    return campaign_rows(world, spec, incidents or [])
+    return campaign_table(world, spec, incidents or [])
 
 
 def detect_latency_anomalies(
@@ -85,15 +88,20 @@ def probe_pairs(world: SyntheticWorld, count: int = 8) -> list[dict]:
     return pairs
 
 
-def paths_crossing_links(measurement_rows: list[dict], link_ids: list[str]) -> list[dict]:
-    """Measurements whose forwarding path crossed any of the given links.
+def paths_crossing_links(measurement_rows: dict[str, tuple],
+                         link_ids: list[str]) -> dict[str, tuple]:
+    """The measurements whose forwarding path crossed any of the given links.
 
+    Takes a column table from :func:`run_campaign` and returns the crossing
+    rows as another, in their order and with the same ``link_pool``.
     The forensic workflow uses this to tie anomalous (src, dst) pairs back to
     candidate physical infrastructure.
     """
     wanted = set(link_ids)
-    out = []
-    for row in measurement_rows:
-        if wanted.intersection(row.get("link_ids", ())):
-            out.append(row)
-    return out
+    pool = measurement_rows["link_pool"]
+    crossing = {index for index, path in enumerate(pool) if not wanted.isdisjoint(path)}
+    keep = [row for row, index in enumerate(measurement_rows["link_index"]) if index in crossing]
+    table = {name: tuple(map(measurement_rows[name].__getitem__, keep))
+             for name in MEASUREMENT_COLUMNS}
+    table["link_pool"] = pool
+    return table

@@ -12,6 +12,7 @@ import threading
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from repro.traceroute.probes import build_probe_fleet, probes_in_region, targets_in_region
 from repro.traceroute.rtt import PathResolver, sample_noise
@@ -51,6 +52,12 @@ def _failed_links_at(
     return frozenset(dead)
 
 
+#: The per-traceroute columns of a :func:`campaign_table`, in the order the
+#: fields of a measurement row take; the table adds ``link_pool``, the paths
+#: that ``link_index`` names.
+MEASUREMENT_COLUMNS = ("ts", "probe_id", "src_country", "src_asn", "dst_asn",
+                       "dst_country", "rtt_ms", "hop_count", "link_index")
+
 #: Campaign shapes (one per ``CampaignSpec``) whose pairs, timestamps and
 #: noise grid a world keeps, least recently used first out.  Europe→Asia
 #: over 7 days hourly is 272 pairs × 168 stamps: a 366 KB grid.
@@ -64,13 +71,14 @@ class _CampaignShape:
     """What every campaign of one spec on one world has in common.
 
     ``pairs`` holds ``(probe_id, src_country, src_asn, dst_asn,
-    dst_country)`` per (probe, target); ``stamps`` the sampling times;
+    dst_country)`` per (probe, target) and ``columns`` the same five fields
+    as one tuple each; ``stamps`` the sampling times;
     ``factors`` ``1 + sample_noise`` for every (stamp, pair), stamp-major;
     ``hops`` one hop list per failed-link set: ``(base_rtt_ms, hop_count,
     link_ids)`` per pair, ``(None, 0, ())`` when unreachable.
     """
 
-    __slots__ = ("pairs", "stamps", "factors", "hops")
+    __slots__ = ("pairs", "columns", "stamps", "factors", "hops")
 
     def __init__(self, world: SyntheticWorld, spec: CampaignSpec):
         probes = probes_in_region(world, build_probe_fleet(world, spec.probe_density),
@@ -82,6 +90,7 @@ class _CampaignShape:
             for dst_asn in targets
             if dst_asn != probe.asn
         )
+        self.columns = tuple(zip(*self.pairs)) or ((),) * 5
         stamps = []
         ts = spec.window_start
         while ts < spec.window_end:
@@ -152,69 +161,71 @@ def campaign_memo(world: SyntheticWorld) -> CampaignMemo:
     return world.memo("campaign_memo", CampaignMemo)
 
 
-def campaign_rows(
+def campaign_table(
     world: SyntheticWorld,
     spec: CampaignSpec,
     incidents: list[LatencyIncident] | None = None,
-) -> list[dict]:
-    """Execute a campaign and return every measurement row, time-ordered.
+) -> dict[str, tuple]:
+    """Execute a campaign and return its measurements as a column table.
 
-    Each row is one traceroute: ``ts``, ``probe_id``, ``src_country``,
-    ``src_asn``, ``dst_asn``, ``dst_country``, ``rtt_ms``
-    (``round(base_rtt_ms * (1 + sample_noise(src_asn, dst_asn, ts)), 3)``;
-    ``None`` when the target was unreachable), ``hop_count`` and
-    ``link_ids``.
+    One tuple per field of :data:`MEASUREMENT_COLUMNS`, all of one length,
+    with one entry per traceroute in time order (stamp-major, then pair):
+    ``ts``, ``probe_id``, ``src_country``, ``src_asn``, ``dst_asn``,
+    ``dst_country``, ``rtt_ms`` (``round(base_rtt_ms * (1 +
+    sample_noise(src_asn, dst_asn, ts)), 3)``; ``None`` when the target was
+    unreachable), ``hop_count`` and ``link_index``.  The path a traceroute
+    took is ``link_pool[link_index]``: ``link_pool`` holds each distinct
+    link-id tuple once (``()`` when unreachable), in order of first use.
 
     Work that does not depend on the incidents is shared through the
     world's :func:`campaign_memo`, keyed on ``spec``: the (probe, target)
     pairs, the timestamps and the noise factor of every sample.  The
     failed-link set only changes at incident onsets, so the memo also
     keeps one resolved hop list per failed-link set; every shard of a live
-    replay rides the base world and so shares it.  Rows are fresh dicts on
-    every call (callers may mutate them) and equal the from-scratch result
-    exactly.
-
-    Rows hold only scalars and immutable tuples: ``link_ids`` is the
-    resolved path's own tuple (``()`` when unreachable), shared by every
-    row on that path.  Once a collection has untracked those tuples the
-    cyclic GC never tracks the row dicts, so a retained campaign costs
-    collections nothing.  Copy ``link_ids`` before mutating it.
+    replay rides the base world and so shares it.  The table holds only
+    tuples (of scalars, and of link ids in the pool), so callers cannot
+    mutate what the next call returns and the cyclic GC finds nothing in
+    it to walk.
     """
     incidents = list(incidents or [])
     memo = campaign_memo(world)
     shape = memo.shape(world, spec)
-    factors, width = shape.factors, len(shape.pairs)
+    factors, stamps, width = shape.factors, shape.stamps, len(shape.pairs)
 
-    # Per set of active incidents: each pair's row template (copying a dict
-    # beats building one) and base RTT.
-    templates: dict[tuple[bool, ...], list[tuple[dict, float | None]]] = {}
-    rows: list[dict] = []
-    append = rows.append
-    for step, ts in enumerate(shape.stamps):
+    pool: dict[tuple[str, ...], int] = {}
+    # Per set of active incidents: each pair's base RTT, hop count and path.
+    layouts: dict[tuple[bool, ...], tuple[tuple, tuple, tuple]] = {}
+    rtt_ms: list[float | None] = []
+    hop_count: list[int] = []
+    link_index: list[int] = []
+    for step, ts in enumerate(stamps):
         active = tuple(ts >= incident.onset for incident in incidents)
-        row_templates = templates.get(active)
-        if row_templates is None:
+        layout = layouts.get(active)
+        if layout is None:
             hops = memo.hops(world, shape, _failed_links_at(world, incidents, ts))
-            row_templates = templates[active] = [
-                ({
-                    "ts": ts,
-                    "probe_id": probe_id,
-                    "src_country": src_country,
-                    "src_asn": src_asn,
-                    "dst_asn": dst_asn,
-                    "dst_country": dst_country,
-                    "rtt_ms": None,
-                    "hop_count": hop_count,
-                    "link_ids": link_ids,
-                }, base_rtt)
-                for (probe_id, src_country, src_asn, dst_asn, dst_country),
-                    (base_rtt, hop_count, link_ids) in zip(shape.pairs, hops)
-            ]
+            layout = layouts[active] = (
+                tuple(base_rtt for base_rtt, _, _ in hops),
+                tuple(count for _, count, _ in hops),
+                tuple(pool.setdefault(link_ids, len(pool)) for _, _, link_ids in hops),
+            )
+        base_rtts, counts, paths = layout
         offset = step * width
-        for (template, base_rtt), factor in zip(row_templates, factors[offset:offset + width]):
-            row = template.copy()
-            row["ts"] = ts
-            if base_rtt is not None:
-                row["rtt_ms"] = round(base_rtt * factor, 3)
-            append(row)
-    return rows
+        rtt_ms.extend(None if base_rtt is None else round(base_rtt * factor, 3)
+                      for base_rtt, factor in zip(base_rtts, factors[offset:offset + width]))
+        hop_count.extend(counts)
+        link_index.extend(paths)
+
+    n = len(stamps)
+    probe_id, src_country, src_asn, dst_asn, dst_country = shape.columns
+    return {
+        "ts": tuple(chain.from_iterable(repeat(ts, width) for ts in stamps)),
+        "probe_id": probe_id * n,
+        "src_country": src_country * n,
+        "src_asn": src_asn * n,
+        "dst_asn": dst_asn * n,
+        "dst_country": dst_country * n,
+        "rtt_ms": tuple(rtt_ms),
+        "hop_count": tuple(hop_count),
+        "link_index": tuple(link_index),
+        "link_pool": tuple(pool),
+    }

@@ -2,46 +2,50 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from itertools import repeat
+from typing import Callable, Iterable
 
-_SERIES_KEYS: dict[str, Callable[[dict], str]] = {
-    "pair": lambda row: f"{row['src_country']}->{row['dst_country']}",
-    "src_country": lambda row: str(row["src_country"]),
-    "dst_country": lambda row: str(row["dst_country"]),
-    "aggregate": lambda row: "all",
+_SERIES_KEYS: dict[str, Callable[[dict], Iterable[str]]] = {
+    "pair": lambda table: (f"{src}->{dst}" for src, dst in zip(table["src_country"],
+                                                               table["dst_country"])),
+    "src_country": lambda table: map(str, table["src_country"]),
+    "dst_country": lambda table: map(str, table["dst_country"]),
+    "aggregate": lambda table: repeat("all", len(table["ts"])),
 }
 
 
 def latency_series(
-    measurement_rows: list[dict],
+    measurement_rows: dict[str, tuple],
     group_by: str = "pair",
     bin_seconds: float = 3600.0,
 ) -> dict[str, list[dict]]:
-    """Group measurement rows into binned latency series.
+    """Group a measurement table's samples into binned latency series.
 
-    ``group_by`` is one of ``pair`` (src→dst country), ``src_country``,
-    ``dst_country`` or ``aggregate``.  Each series is a time-ordered list of
-    bins: ``bin_start``, ``median_rtt_ms`` (``None`` when every sample in
-    the bin was lost), ``sample_count``, ``loss_count`` and ``loss_rate``.
-    Series appear in order of their first row.
+    ``measurement_rows`` is a column table from
+    :func:`~repro.traceroute.api.run_campaign`; only its ``ts``,
+    ``rtt_ms`` and country columns are read.  ``group_by`` is one of
+    ``pair`` (src→dst country), ``src_country``, ``dst_country`` or
+    ``aggregate``.  Each series is a time-ordered list of bins:
+    ``bin_start``, ``median_rtt_ms`` (``None`` when every sample in the bin
+    was lost), ``sample_count``, ``loss_count`` and ``loss_rate``.  Series
+    appear in order of their first sample.
     """
     if bin_seconds <= 0:
         raise ValueError("bin_seconds must be positive")
-    series_key = _SERIES_KEYS.get(group_by)
-    if series_key is None:
+    series_keys = _SERIES_KEYS.get(group_by)
+    if series_keys is None:
         raise ValueError(f"unknown group_by {group_by!r}")
     # series key -> bin start -> [rtt samples, loss count]
     grouped: dict[str, dict[float, list]] = {}
-    for row in measurement_rows:
-        key = series_key(row)
+    for key, ts, rtt in zip(series_keys(measurement_rows), measurement_rows["ts"],
+                            measurement_rows["rtt_ms"]):
         bins = grouped.get(key)
         if bins is None:
             bins = grouped[key] = {}
-        bin_start = (row["ts"] // bin_seconds) * bin_seconds
+        bin_start = (ts // bin_seconds) * bin_seconds
         cell = bins.get(bin_start)
         if cell is None:
             cell = bins[bin_start] = [[], 0]
-        rtt = row["rtt_ms"]
         if rtt is None:
             cell[1] += 1
         else:

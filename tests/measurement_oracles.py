@@ -4,20 +4,26 @@ The straightforward per-measurement versions the fast paths in ``src/``
 replaced: a campaign that resolves every (timestep, probe, target) through
 :meth:`PathResolver.measured_rtt_ms` and wraps each result in a frozen
 :class:`TracerouteMeasurement`; a latency binner built on
-:class:`LatencyBin`; and cable ranking that searches each cable's landing
-points again for every distance it needs.  Equivalence tests hold the fast
-paths to exact equality with these.
+:class:`LatencyBin` and a path filter, both over row dicts; cable ranking
+that searches each cable's landing points again for every distance it
+needs; BGP anomaly detection through :class:`BGPUpdate` objects; and the
+recursive QA walks the generated workflows embedded before they walked
+scalars in their container's loop.  Equivalence tests hold the fast paths
+to exact equality with these; :func:`table_rows` turns a measurement table
+back into the rows the oracles speak.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.bgp.anomaly import RoutingAnomaly, _robust_zscores, update_rate_series
+from repro.bgp.messages import BGPUpdate
 from repro.synth.geography import haversine_km
 from repro.synth.iplinks import cable_path_km
 from repro.synth.scenarios import LatencyIncident
 from repro.synth.world import SyntheticWorld
-from repro.traceroute.campaign import CampaignSpec, _failed_links_at
+from repro.traceroute.campaign import MEASUREMENT_COLUMNS, CampaignSpec, _failed_links_at
 from repro.traceroute.probes import build_probe_fleet, probes_in_region, targets_in_region
 from repro.traceroute.rtt import PathResolver
 
@@ -89,6 +95,21 @@ def run_campaign_spec(
                 )
         ts += spec.interval_s
     return measurements
+
+
+def table_rows(table: dict) -> list[dict]:
+    """A measurement table as row dicts, ``link_ids`` resolved from the pool."""
+    pool = table["link_pool"]
+    fields = MEASUREMENT_COLUMNS[:-1] + ("link_ids",)
+    columns = [table[name] for name in MEASUREMENT_COLUMNS[:-1]]
+    columns.append([pool[index] for index in table["link_index"]])
+    return [dict(zip(fields, values)) for values in zip(*columns)]
+
+
+def paths_crossing_links(rows: list[dict], link_ids: list[str]) -> list[dict]:
+    """Rows whose path crossed any of the given links."""
+    wanted = set(link_ids)
+    return [row for row in rows if wanted.intersection(row.get("link_ids", ()))]
 
 
 # -- latency series ------------------------------------------------------------
@@ -230,3 +251,84 @@ def true_path_km(link, cables, landing_points) -> float:
         + cable_path_km(cable, near_a.id, near_b.id)
         + haversine_km(near_b.coord, link.coord_b) * 1.3
     )
+
+
+# -- BGP routing anomalies -------------------------------------------------------
+
+
+def detect_routing_anomalies(
+    update_rows: list[dict],
+    window_start: float,
+    window_end: float,
+    bin_seconds: float = 3600.0,
+    z_threshold: float = 3.0,
+) -> list[dict]:
+    """Anomalous update-volume windows, each row parsed into a BGPUpdate and
+    each anomalous bin's prefixes found by another scan of every update."""
+    updates = [BGPUpdate.from_dict(row) for row in update_rows]
+    bins = update_rate_series(updates, window_start, window_end, bin_seconds)
+    zscores = _robust_zscores([b["count"] for b in bins])
+    anomalies: list[RoutingAnomaly] = []
+    for b, z in zip(bins, zscores):
+        if z < z_threshold:
+            continue
+        lo, hi = b["bin_start"], b["bin_start"] + bin_seconds
+        touched = tuple(sorted({u.prefix for u in updates if lo <= u.ts < hi}))
+        anomalies.append(RoutingAnomaly(
+            window_start=lo, window_end=hi, update_count=b["count"],
+            withdrawal_count=b["withdrawals"], zscore=z, prefixes=touched,
+        ))
+    anomalies.sort(key=lambda a: a.zscore, reverse=True)
+    return [a.to_dict() for a in anomalies]
+
+
+# -- QA walks of generated workflows ----------------------------------------------
+
+
+def qa_sanity_bounds(results):
+    """Walk outputs checking value ranges: scores in [0,1], RTTs positive."""
+    violations = []
+
+    def walk(path, value):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(f"{path}.{key}", item)
+        elif isinstance(value, list):
+            for i, item in enumerate(value[:200]):
+                walk(f"{path}[{i}]", item)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            leaf = path.rsplit(".", 1)[-1].split("[")[0]
+            if leaf in ("score", "confidence", "p_value", "fraction") and not (
+                -1e-9 <= value <= 1.0 + 1e-9
+            ):
+                violations.append(f"{path}={value} outside [0,1]")
+            if leaf in ("rtt_ms", "median_rtt_ms", "capacity_lost_gbps") and value < 0:
+                violations.append(f"{path}={value} negative")
+
+    for step_id, output in results.items():
+        walk(step_id, output)
+    return {"passed": not violations, "violations": violations[:20],
+            "violation_count": len(violations)}
+
+
+def qa_significance_assessment(results):
+    """Collect p-values across outputs; flag weak statistical support."""
+    p_values = []
+
+    def walk(value):
+        if isinstance(value, dict):
+            if "p_value" in value and isinstance(value["p_value"], (int, float)):
+                p_values.append(float(value["p_value"]))
+            for item in value.values():
+                walk(item)
+        elif isinstance(value, list):
+            for item in value[:300]:
+                walk(item)
+
+    walk(results)
+    significant = sum(1 for p in p_values if p < 0.01)
+    return {
+        "passed": not p_values or significant > 0,
+        "p_value_count": len(p_values),
+        "significant_at_1pct": significant,
+    }

@@ -494,9 +494,9 @@ def test_live_replay_multi_event_one_case_per_incident(world):
         for c in report.forensic_cases
     ) == [
         ("eq-izmit-2026", "confirmed",
-         "4aadf739914aba41a1464c274d0abca90d0d827261e6d8534e40fdd2f84f35a3"),
+         "2f68bdf92ac529015ad63113e57b5809e7ee0f4520f16c4a3fc24bb49d500ab0"),
         ("eq-taiwan-2026", "confirmed",
-         "c4a498399b800798b6f8943746d2bdfae97164082d6d82b3688cbbbc7f53ea4d"),
+         "06b8c306c5c545530427ea771b260a4acfa4fc5bf952b19d3d10a8b8fc5bffe8"),
     ]
 
 

@@ -18,47 +18,47 @@ from repro.synth.scenarios import make_latency_incident
 from repro.synth.world import WorldConfig, build_world
 
 GOLDEN_CASE_DIGESTS = {
-    1: "923d9e0cb7d9ec3ba835844214f4bfae24676f35f6a14874eea3213009678f36",
-    2: "3de19dbf0384a857a0bef8cdc0cc245e83ad75bfdb982ac02e3c0d2f9ee55344",
-    3: "41c15d462afade15a7bd4068ee4a678d11d342da54ef230204708c11476be047",
-    4: "3f4de1db644ff814accf906674a0b5239e2d9bbb52dfb71b92f5568e51569af1",
+    1: "efe63a8e2c04a08963135f538967ed091addc53179d33eaccf1edc0d1ec98925",
+    2: "e88c1ddaf2efd86a684e57bf25131ba776a884fd8e743b55f101bd8136f6354f",
+    3: "c421330e0b9e8936878284d6786cc19abfffae77d36e7f6f6b70011859018b4c",
+    4: "897dbd4b70555fd59f419e02d8567093ffe6ee10864805a5ca45adb388d500c4",
 }
 
 # The seeded scenario matrix the campaign benchmark serves: every cable's
 # impact query, both disaster kinds and the Europe-Asia cascade.
 GOLDEN_CAMPAIGN_DIGESTS = {
-    "cable:AAE-1": "a1e63013291b8217519d8ef4751eaf73f58a5b054c8ccadbfef5365b791efdbd",
-    "cable:APG": "befa6f2d27569f468a5ebbe23fbc45c76e34f46b0edb5b00279ccf5b6ddbbcc9",
-    "cable:ASE": "e3e59047babfb0a88b4161f581319ded9786d05d4213dd4b2f0dc3aab2aeb914",
-    "cable:AmericasCrossing": "f81f1e5ce5f4f54f0316b2c721ff9a97579fc7b45543f9b76300b5cc88868f24",
-    "cable:Amitie-X": "b32d9e1cf182a14de79e9a0a6019c5aa45f2fa33c7fe4176a1ffb46e0f113fc3",
-    "cable:Atlantica-1": "11ae77c080a11f9ff4139c808f7dd8b2feb63a88f7adfc2330d80a4dcd2ff117",
-    "cable:EASSy-2": "1a57ffe4dfefde83ece3cd2f78bfb46f672d30ea8a924fb3d5334e61a8bbbd14",
-    "cable:EIG": "a2ac02f4193e6bda6438e18c646aaa2b1a3c2d430bb93ea7c4cccb73b1866f20",
-    "cable:FALCON": "e60c018e137aa026b775db1dfa75849014c4a812f813fd50de18c2ee5b845b3c",
-    "cable:Hawk-3": "bae7cf5a44dfbe010b0038fa206afd4c7960ac183cfcd49e976cb161e150d02a",
-    "cable:Hibernia-N": "bf80a723df10ac9cc74e9ecf67b1a694bad86951f4d2089614b13a2d9420cac7",
-    "cable:IMEWE": "c022b465f8bba98c779f270d1efdb9e405b7bfadaba6acd0020cb90e5ac4d504",
-    "cable:MedLoop": "b1dc711ddd726a51e9c2c46e4ed393034417b65485a5adfc77524ed3a9d6e7b2",
-    "cable:Monet-S": "3be3701e2072324539e760d0b6590dc0bef7c63471968818db1b0cb2278c5ff9",
-    "cable:OMR-West": "6629a088e06a56c1a2786c1e058d85dfc899665f24d42f9cdeaf8c9f4391b3d3",
-    "cable:PacLight": "d02b69f21e9646462837eeb44a6423603aeef8929b8ea6251d8c79dda524f823",
-    "cable:SAFE-X": "b2bb58e2c2db3052513e8b73020b22a270000c3a9a02f156c82493253625590c",
-    "cable:SJC": "e5417b75531985774b08cf131fb6ef8d6cd746b9f596b165fa796aac27648388",
-    "cable:SeaMeWe-4": "2771f2c3bf1f618a8c18f917aee819ff91d536aa8f3a1426f26d006545b1fc83",
-    "cable:SeaMeWe-5": "923d9e0cb7d9ec3ba835844214f4bfae24676f35f6a14874eea3213009678f36",
-    "cable:SouthernCross-X": "0c9f29bcd722edb2c5163b4edf9e7eb6766226f51cedadfd3d07731ba0f80136",
-    "cable:TransPac-N": "e9424b986112ba1d98c751a577d4da4484f4e040be06e65add39815e582564a9",
-    "cable:WACS-2": "60e88be040866e24607d199ed5ac1ce1b47e5cb7143eaa51a25bd3c4fc464cf1",
-    "disaster:earthquake": "542e5de9c18c9431004be694ed89098d6ae5b49bf4dd2d268393e549efb53adb",
-    "disaster:hurricane": "dc5441ee921f33120344810e1d130277dd00a077b26139698b2704c27f5c49e2",
-    "cascade:Europe-Asia": "41c15d462afade15a7bd4068ee4a678d11d342da54ef230204708c11476be047",
+    "cable:AAE-1": "08209dc63e7c4a35ed8a2068d5b3cbdedbaa3a5c46dbe76475494e230118996c",
+    "cable:APG": "654d0e0eff1b2d1c4813306c6b16caabf5f70032f64d34906c6166be3ce49d2a",
+    "cable:ASE": "5c253de37a64466045a40dba22964729f4b47b84db222e0d5ce147799d683f70",
+    "cable:AmericasCrossing": "26044010cace2a6ef8d24c1eeee8c99cdd85d3ca15db87d4143831e1b34993bf",
+    "cable:Amitie-X": "225bf76b8aae7b1758272d0bf38ae0bb53dbdbf52f7be6fe5d64e2347295e2ce",
+    "cable:Atlantica-1": "d33d5848c3bd28dacf850edcb0e4266f12b5a7623e66dcf24ea3142a2c8c8e92",
+    "cable:EASSy-2": "3318949f3b7d6a712d78c2abf22c582e5bbc147e6bc52d643d35338d074d90a0",
+    "cable:EIG": "1c16734c51fd245a56bb9276d260ed287d740edff5affa5309076a17669e9d55",
+    "cable:FALCON": "2f5684bcd1ce6e2886251a13292d0265eee17a0d5f42019b3a274e41ab19f3d3",
+    "cable:Hawk-3": "4d8b9367c1dcbac34d3c1c2cd56ed830e4846335c083a2e00cda413d0607b2cc",
+    "cable:Hibernia-N": "ea771e438536d16b4a77c3060e95bcc7834ef131517ba6fd51e248ea3dd9bdc3",
+    "cable:IMEWE": "6f2a5c4675746c55796dde9d71d9fbbd370e17e252f5db83983b5d7e3b31df20",
+    "cable:MedLoop": "6de4e1e35ed7262010f5a4c6e7a45146c861e4aae25dad9adcf9c801cab588d6",
+    "cable:Monet-S": "ba52463f341714cc0c265ce018275f2276fa08ab158a970af164f70aa5633578",
+    "cable:OMR-West": "091923981a90713922605f53adc61f0b19615376006ca32a457b5359e622911d",
+    "cable:PacLight": "f83ac32c3f9551690a2b93ad91c4c4cdbde91cac7a9d8a2b3560516e455f871f",
+    "cable:SAFE-X": "95810a65c6fef862545f70ea8b83f78b31d2d81caeaf2eb5913b2ab524986f30",
+    "cable:SJC": "76c8cade4b5b30a9d986ceb4989f7f06439d47583951d149b8818bf4618b8019",
+    "cable:SeaMeWe-4": "5aeb3b278a800e1f099576bc405f065835e55208ce91405eb05e6c1a96c51407",
+    "cable:SeaMeWe-5": "efe63a8e2c04a08963135f538967ed091addc53179d33eaccf1edc0d1ec98925",
+    "cable:SouthernCross-X": "bf8fdab73ca6f26e16f648e20f41fa7dbd2a5ee094e6358c53a3fc5cced1c7f5",
+    "cable:TransPac-N": "e4d7cf106076946b59984d379dcad24a2d43c73b1d537c18a4a3031d9b9ccda3",
+    "cable:WACS-2": "e19d2022e0a08f044967b5e11eac8cc870a21fa0d6fee41d5c38f226c39bfe75",
+    "disaster:earthquake": "3bd28138e44740a7eec62900d50be3a149b62915e0a6d5cb4887d7888cd5b2ea",
+    "disaster:hurricane": "bba85f1dc7fca08dc0432a0dbcba5b99fa58bd118b3f28e562110ab1a59aab54",
+    "cascade:Europe-Asia": "c421330e0b9e8936878284d6786cc19abfffae77d36e7f6f6b70011859018b4c",
 }
 
 # Step digests behind two of the roots above (sha256 of each step output's
 # canonical JSON).
 GOLDEN_CASE4_STEP_DIGESTS = {
-    "s1": "2ae25da42854e07831be594096078d37fba7de787b79e3770eb90a84fc24e579",
+    "s1": "53993f998f048fe5a5696ec2525717925c2df14981106d4e7afdfa21e93871da",
     "s2": "b952d96e3fcf80ee64314b33ae71a1914f6f894389e522bae0be554309c04ea7",
     "s3": "535072fa5fb3dc4ce3d601ccb9d2fa22512134dacc11568153ffe9843d201500",
     "s4": "c266a6a63ab7a507e9fa59034baa2f716a78bb344a8e09d2a502fd00e465f01e",
@@ -80,7 +80,7 @@ GOLDEN_CASCADE_STEP_DIGESTS = {
     "s7": "57d26fc4f0ca87ae4a4ccdfdb58affed9ff6802249ab57a44f782db4e71c3f78",
     "s8": "68a817a0a5ed3ead949a012e7c6b32eadd827ff1070c8ad6e1b7522219077489",
     "s9": "e084603cadb4da7ca552c9b3ae41b6863123d3face624b04ce7645488bcb2a84",
-    "s10": "7fd35df82883d3dd7be348c18d698b172d617b88b000ef646dc5c71bd043ad82",
+    "s10": "c5c566e2307df38e6dabb83ba6a7043be6ec857ef0789fa2cad9c1652834ae2d",
     "s11": "bce311b580ed1521cf885d432ac99c96fd4d4e5664affec53b79cdd4235d165d",
     "s12": "52bb65142ef8be416170e4219794eb7e6e140cf5948beb0f535276f9b3e48d66",
 }

@@ -1,12 +1,13 @@
 """The measurement fast path agrees exactly with its reference oracles.
 
-``run_campaign``, ``latency_series`` and the Nautilus cable ranking were
-rewritten to do less work per row; the straightforward versions live in
-``measurement_oracles``.  Every comparison here is exact equality — values,
-key order and row order — because the golden digests hash these outputs.
-The one representation difference is deliberate: fast rows carry
-``link_ids`` as a shared immutable tuple where the oracle builds a list,
-which ``canonical_json`` (what the digests hash) writes identically.
+``run_campaign``, ``latency_series``, ``paths_crossing_links``, BGP anomaly
+detection and the Nautilus cable ranking were rewritten to do less work
+per row; the straightforward versions live in ``measurement_oracles``.
+``run_campaign`` returns a column table where the oracle returns row
+dicts: ``measurement_oracles.table_rows`` turns the table back into rows,
+which must equal the oracle's exactly — values, key order and row order —
+with ``link_ids`` as the pooled tuple where the oracle builds a list, which
+``canonical_json`` writes identically.
 """
 
 import dataclasses
@@ -18,7 +19,7 @@ import threading
 import pytest
 
 import measurement_oracles as oracle
-from repro.bgp.api import fetch_updates
+from repro.bgp.api import detect_routing_anomalies, fetch_updates
 from repro.core.artifacts import canonical_json
 from repro.nautilus.geolocation import Geolocator
 from repro.nautilus.mapping import link_rtt_ms, observed_link_rtt_ms
@@ -27,13 +28,14 @@ from repro.synth.scenarios import make_latency_incident
 from repro.synth.world import WorldConfig, build_world
 from repro.topology.relations import AdjacencyIndex, ASGraph
 from repro.traceroute import campaign as campaign_module
-from repro.traceroute.api import latency_series, run_campaign
+from repro.traceroute.api import latency_series, paths_crossing_links, run_campaign
 from repro.traceroute.campaign import (
     CAMPAIGN_MEMO_FAILURE_SETS,
     CAMPAIGN_MEMO_SHAPES,
+    MEASUREMENT_COLUMNS,
     CampaignSpec,
     campaign_memo,
-    campaign_rows,
+    campaign_table,
 )
 from repro.synth.geography import Region
 
@@ -71,10 +73,20 @@ def _items(rows):
             for row in rows]
 
 
-def _assert_rows_equal_oracle(fast, reference):
+def _assert_table(table):
+    # One tuple per column, all of one length; every path index resolves.
+    assert list(table) == [*MEASUREMENT_COLUMNS, "link_pool"]
+    assert all(type(column) is tuple for column in table.values())
+    assert len({len(table[name]) for name in MEASUREMENT_COLUMNS}) == 1
+    assert all(type(path) is tuple for path in table["link_pool"])
+    assert set(table["link_index"]) <= set(range(len(table["link_pool"])))
+
+
+def _assert_rows_equal_oracle(table, reference):
+    _assert_table(table)
+    fast = oracle.table_rows(table)
     assert _items(fast) == _items(reference)
     assert canonical_json(fast) == canonical_json(reference)
-    assert all(type(row["link_ids"]) is tuple for row in fast)
 
 
 @pytest.fixture(scope="module")
@@ -83,13 +95,14 @@ def campaign(seeded_world):
 
 
 def test_campaign_rows_equal_oracle(seeded_world, campaign):
-    fast, reference = campaign
-    _assert_rows_equal_oracle(fast, reference)
+    table, reference = campaign
+    _assert_rows_equal_oracle(table, reference)
+    assert set(table["link_index"]) == set(range(len(table["link_pool"])))
     onset = _incidents(seeded_world)[0].onset
-    assert any(row["ts"] < onset for row in fast)
-    assert any(row["ts"] > onset for row in fast)
-    assert any(row["rtt_ms"] is None for row in fast)
-    assert any(row["rtt_ms"] is not None for row in fast)
+    assert any(ts < onset for ts in table["ts"])
+    assert any(ts > onset for ts in table["ts"])
+    assert any(rtt is None for rtt in table["rtt_ms"])
+    assert any(rtt is not None for rtt in table["rtt_ms"])
 
 
 def test_campaign_rows_equal_oracle_without_incidents(world):
@@ -99,25 +112,28 @@ def test_campaign_rows_equal_oracle_without_incidents(world):
 
 
 def test_campaign_rows_share_immutable_link_tuples(seeded_world, campaign):
-    # Rows on one path under one failed-link set share the path's tuple;
-    # tuples cannot be mutated, so the aliasing is harmless.
-    fast, _ = campaign
+    # Each distinct path is pooled once and rows name it by index; the pool
+    # holds immutable tuples, so sharing them is harmless.
+    table, _ = campaign
     onsets = [incident.onset for incident in _incidents(seeded_world)]
-    assert all(type(row["link_ids"]) is tuple for row in fast)
-    combos = {(row["probe_id"], row["dst_asn"], tuple(row["ts"] >= t for t in onsets))
-              for row in fast}
-    assert len({id(row["link_ids"]) for row in fast}) <= len(combos) < len(fast)
+    pool = table["link_pool"]
+    assert len(set(pool)) == len(pool)
+    combos = {(probe_id, dst_asn, tuple(ts >= t for t in onsets))
+              for probe_id, dst_asn, ts in zip(table["probe_id"], table["dst_asn"], table["ts"])}
+    assert len(pool) <= len(combos) < len(table["ts"])
 
 
 def test_measurement_rows_are_not_gc_tracked(seeded_world):
-    # Rows of scalars and untracked tuples leave nothing for the cyclic GC
-    # to walk, however many results a broker retains.
+    # A table's columns and paths, and update rows of scalars and
+    # untracked tuples, leave nothing for the cyclic GC to walk, however
+    # many results a broker retains.
     incidents = [make_latency_incident(seeded_world, "SeaMeWe-5")]
-    rows = run_campaign(seeded_world, "europe", "asia", 0.0, 7 * DAY, incidents=incidents)
+    table = run_campaign(seeded_world, "europe", "asia", 0.0, 7 * DAY, incidents=incidents)
     updates = fetch_updates(seeded_world, 0.0, 7 * DAY, incidents=incidents)
     gc.collect()
-    assert rows and updates
-    assert not any(gc.is_tracked(row) for row in rows)
+    assert table["ts"] and updates
+    assert not any(gc.is_tracked(column) for column in table.values())
+    assert not any(gc.is_tracked(path) for path in table["link_pool"])
     assert not any(gc.is_tracked(row) for row in updates)
 
 
@@ -160,9 +176,10 @@ def test_campaign_memo_equals_oracle_cold_and_warm(seeded_world, memo_references
     for _ in ("cold", "warm"):
         for index in indices:
             spec, incidents = calls[index]
-            rows = campaign_rows(world, spec, incidents)
+            table = campaign_table(world, spec, incidents)
+            _assert_table(table)
+            rows = oracle.table_rows(table)
             assert (_items(rows), canonical_json(rows)) == memo_references[index]
-            assert all(type(row["link_ids"]) is tuple for row in rows)
     assert len(campaign_memo(world)) == len({spec for spec, _ in calls})
 
 
@@ -179,28 +196,28 @@ def test_equal_specs_that_print_differently_never_share_rows(world, incident):
     for order in ((0, 1), (1, 0)):
         fresh = build_world(world.config)
         for index in order:
-            _assert_rows_equal_oracle(campaign_rows(fresh, specs[index], [incident]),
+            _assert_rows_equal_oracle(campaign_table(fresh, specs[index], [incident]),
                                       references[index])
 
 
 def test_mutating_rows_never_reaches_the_next_call(world, incident):
+    # Columns are tuples; the table dict is the caller's own.
     spec = CampaignSpec(Region.EUROPE, Region.ASIA, 0.0, 2 * DAY)
-    first = campaign_rows(world, spec, [incident])
-    expected = canonical_json(campaign_rows(world, spec, [incident]))
-    for row in first:
-        row["rtt_ms"], row["link_ids"], row["extra"] = -1.0, ["x"], True
-        del row["ts"]
-    again = campaign_rows(world, spec, [incident])
+    first = campaign_table(world, spec, [incident])
+    expected = canonical_json(campaign_table(world, spec, [incident]))
+    first["rtt_ms"], first["link_pool"], first["extra"] = (-1.0,), (("x",),), True
+    del first["ts"]
+    again = campaign_table(world, spec, [incident])
     assert canonical_json(again) == expected
-    assert not {id(row) for row in first} & {id(row) for row in again}
+    assert again is not first
 
 
 def test_campaign_memo_is_bounded(small_world, monkeypatch):
     world = build_world(small_world.config)
     memo = campaign_memo(world)
     for extra in range(CAMPAIGN_MEMO_SHAPES + 3):
-        campaign_rows(world, CampaignSpec(Region.EUROPE, Region.ASIA, 0.0, DAY,
-                                          interval_s=3600.0 + extra))
+        campaign_table(world, CampaignSpec(Region.EUROPE, Region.ASIA, 0.0, DAY,
+                                           interval_s=3600.0 + extra))
         assert len(memo) <= CAMPAIGN_MEMO_SHAPES
     assert len(memo) == CAMPAIGN_MEMO_SHAPES
 
@@ -210,7 +227,7 @@ def test_campaign_memo_is_bounded(small_world, monkeypatch):
     cables = [cable.name for cable in world.cables.values() if world.links_on_cable(cable.id)]
     assert len(cables) > 4
     for name in cables:
-        campaign_rows(world, spec, [make_latency_incident(world, name, days_since_onset=1.0)])
+        campaign_table(world, spec, [make_latency_incident(world, name, days_since_onset=1.0)])
         assert len(memo.shape(world, spec).hops) <= 4
     assert len(memo.shape(world, spec).hops) == 4
     assert len(memo) <= CAMPAIGN_MEMO_SHAPES
@@ -236,7 +253,7 @@ def test_concurrent_campaigns_build_one_noise_grid(monkeypatch):
 
     def run(slot):
         start.wait(timeout=30)
-        results[slot] = campaign_rows(world, spec, incidents)
+        results[slot] = campaign_table(world, spec, incidents)
 
     threads = [threading.Thread(target=run, args=(slot,)) for slot in range(4)]
     interval = sys.getswitchinterval()
@@ -251,15 +268,15 @@ def test_concurrent_campaigns_build_one_noise_grid(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     shape = campaign_memo(world).shape(world, spec)
     assert len(draws) == len(shape.factors) == len(shape.pairs) * len(shape.stamps)
-    assert results[0] and len({id(rows) for rows in results}) == 4
-    assert len({canonical_json(rows) for rows in results}) == 1
+    assert results[0]["ts"] and len({id(table) for table in results}) == 4
+    assert len({canonical_json(table) for table in results}) == 1
 
 
 @pytest.mark.parametrize("bin_seconds", [3600.0, 5400.0])
 @pytest.mark.parametrize("group_by", GROUP_BYS)
 def test_latency_series_equal_oracle(campaign, group_by, bin_seconds):
-    rows, _ = campaign
-    fast = latency_series(rows, group_by=group_by, bin_seconds=bin_seconds)
+    table, rows = campaign
+    fast = latency_series(table, group_by=group_by, bin_seconds=bin_seconds)
     reference = oracle.latency_series_from_rows(rows, group_by, bin_seconds)
     assert list(fast) == list(reference)
     for key, bins in reference.items():
@@ -274,6 +291,86 @@ def test_latency_series_rejects_bad_arguments():
         latency_series([], group_by="nope")
     with pytest.raises(ValueError):
         latency_series([], bin_seconds=0.0)
+
+
+def test_paths_crossing_links_equal_oracle(seeded_world, campaign):
+    table, rows = campaign
+    link_ids = [link.id for name in ("SeaMeWe-5", "AAE-1")
+                for link in seeded_world.links_on_cable(seeded_world.cable_named(name).id)]
+    crossing = paths_crossing_links(table, link_ids)
+    _assert_table(crossing)
+    assert crossing["link_pool"] is table["link_pool"]
+    reference = oracle.paths_crossing_links(rows, link_ids)
+    assert 0 < len(reference) < len(rows)
+    _assert_rows_equal_oracle(crossing, reference)
+
+
+# -- BGP routing anomalies -----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def routing_inputs(world, incident):
+    """``(update_rows, window_start, window_end)`` as case 4 passes them, and
+    as every forensic workflow of a two-incident live replay passed them."""
+    from repro.bgp import api as bgp_api
+    from repro.live import LiveConfig, overlapping_catalog_timeline, run_live_replay
+
+    inputs = [(fetch_updates(world, 0.0, 7 * DAY, incidents=[incident]), 0.0, 7 * DAY)]
+    real = bgp_api.detect_routing_anomalies
+
+    def recording(update_rows, window_start, window_end, **kwargs):
+        inputs.append((update_rows, window_start, window_end))
+        return real(update_rows, window_start, window_end, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bgp_api, "detect_routing_anomalies", recording)
+        run_live_replay(world=world, timeline_events=overlapping_catalog_timeline(world, count=2),
+                        config=LiveConfig(epochs=16, workers=2, forensics=True))
+    assert len(inputs) > 2
+    return inputs
+
+
+@pytest.mark.parametrize("bin_seconds, z_threshold", [(3600.0, 3.0), (5400.0, 2.0)])
+def test_routing_anomalies_equal_oracle(routing_inputs, bin_seconds, z_threshold):
+    found = 0
+    for rows, window_start, window_end in routing_inputs:
+        fast = detect_routing_anomalies(rows, window_start, window_end, bin_seconds, z_threshold)
+        assert fast == oracle.detect_routing_anomalies(
+            rows, window_start, window_end, bin_seconds, z_threshold)
+        found += len(fast)
+    assert found
+
+
+def test_routing_anomalies_equal_oracle_at_bin_edges():
+    # Stamps on and around every bin edge of windows whose edges do not sum
+    # exactly in floating point, plus stamps outside the window.
+    rng = random.Random(5)
+    for window_start, bin_seconds in ((0.1, 0.7), (1e5 + 0.3, 3600.1), (-7.25, 0.05)):
+        window_end = window_start + 24 * bin_seconds
+        stamps = [window_start + k * bin_seconds for k in range(-2, 27)]
+        stamps += [edge + delta for edge in stamps for delta in (-1e-9, 1e-9)]
+        stamps += [window_start + rng.uniform(-1, 25) * bin_seconds for _ in range(400)]
+        stamps += [window_start + 5.5 * bin_seconds] * 200 + [window_end] * 3
+        rows = [{"ts": ts, "collector": "c", "peer_asn": 1, "kind": rng.choice("AAW"),
+                 "prefix": f"10.{index % 7}.0.0/16", "as_path": (1, 2)}
+                for index, ts in enumerate(stamps)]
+        for z_threshold in (3.0, 0.5):
+            fast = detect_routing_anomalies(rows, window_start, window_end, bin_seconds,
+                                            z_threshold)
+            assert fast == oracle.detect_routing_anomalies(
+                rows, window_start, window_end, bin_seconds, z_threshold)
+            assert fast
+
+
+def test_routing_anomalies_reject_an_unknown_update_kind():
+    rows = [{"ts": 1.0, "collector": "c", "peer_asn": 1, "kind": kind, "prefix": "10.0.0.0/8"}
+            for kind in ("A", "W", "X")]
+    with pytest.raises(ValueError):
+        oracle.detect_routing_anomalies(rows, 0.0, 10.0)
+    with pytest.raises(ValueError):
+        detect_routing_anomalies(rows, 0.0, 10.0)
+    assert detect_routing_anomalies(rows[:2], 0.0, 10.0, bin_seconds=1.0) == \
+        oracle.detect_routing_anomalies(rows[:2], 0.0, 10.0, bin_seconds=1.0)
 
 
 # -- cable ranking ---------------------------------------------------------------
@@ -326,10 +423,10 @@ def test_worlds_from_one_config_never_share_a_memo():
     assert a.all_prefixes() is not b.all_prefixes()
     assert ASGraph.shared(a) is ASGraph.shared(a)
     spec = CampaignSpec(Region.EUROPE, Region.ASIA, 0.0, DAY)
-    assert campaign_rows(a, spec) == campaign_rows(a, spec)
+    assert campaign_table(a, spec) == campaign_table(a, spec)
     assert len(campaign_memo(a)) == 1
     assert len(campaign_memo(b)) == 0
-    assert campaign_rows(b, spec) == campaign_rows(a, spec)
+    assert campaign_table(b, spec) == campaign_table(a, spec)
     assert campaign_memo(a) is not campaign_memo(b)
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.changepoint import cusum_change_point
-from repro.traceroute.campaign import CampaignSpec, campaign_rows
+from repro.traceroute.campaign import CampaignSpec, campaign_table
 from repro.traceroute.probes import build_probe_fleet, probes_in_region, targets_in_region
 from repro.traceroute.rtt import PathResolver
 from repro.traceroute.api import detect_latency_anomalies, latency_series, paths_crossing_links, run_campaign
@@ -90,17 +90,17 @@ def test_campaign_spec_validation():
 def test_campaign_produces_time_ordered_rows(world):
     spec = CampaignSpec(Region.EUROPE, Region.ASIA, 0.0, 6 * 3600.0,
                         interval_s=3600.0)
-    rows = campaign_rows(world, spec)
-    timestamps = [row["ts"] for row in rows]
+    timestamps = list(campaign_table(world, spec)["ts"])
     assert timestamps == sorted(timestamps)
     assert len(set(timestamps)) == 6
 
 
 def test_campaign_incident_raises_latency(world, incident):
-    rows = run_campaign(world, "europe", "asia", 0.0, 7 * DAY,
-                        interval_s=21_600.0, incidents=[incident])
-    pre = [r["rtt_ms"] for r in rows if r["rtt_ms"] and r["ts"] < incident.onset]
-    post = [r["rtt_ms"] for r in rows if r["rtt_ms"] and r["ts"] >= incident.onset]
+    table = run_campaign(world, "europe", "asia", 0.0, 7 * DAY,
+                         interval_s=21_600.0, incidents=[incident])
+    samples = list(zip(table["ts"], table["rtt_ms"]))
+    pre = [rtt for ts, rtt in samples if rtt and ts < incident.onset]
+    post = [rtt for ts, rtt in samples if rtt and ts >= incident.onset]
     assert sum(post) / len(post) > sum(pre) / len(pre)
 
 
@@ -122,7 +122,7 @@ def test_series_bin_counts(world):
     bins = series["all"]
     assert len(bins) == 4
     total = sum(b["sample_count"] + b["loss_count"] for b in bins)
-    assert total == len(rows)
+    assert total == len(rows["ts"])
 
 
 # -- anomaly -------------------------------------------------------------------------------
@@ -163,7 +163,8 @@ def test_paths_crossing_links_filter(world):
     link_ids = [l.id for l in world.links_on_cable(cable.id)]
     crossing = paths_crossing_links(rows, link_ids)
     wanted = set(link_ids)
-    assert all(wanted & set(row["link_ids"]) for row in crossing)
+    assert crossing["ts"]
+    assert all(wanted & set(crossing["link_pool"][index]) for index in crossing["link_index"])
 
 
 def test_probe_pairs_deterministic_and_cross_region(world):
