@@ -11,13 +11,18 @@ the thread that ran it (``time.thread_time``):
   checks): each ``execute_solution`` minus the tool calls inside it;
 * ``pipeline.answer`` — each job's whole answer, which holds the last two.
 
+It also prints ``step_bytes``: the canonical-JSON bytes of each step id
+(``StepRef.nbytes`` from ``execution.step_refs()``), summed over the
+forensic results the replay digested, so a change to a step's size reads
+as an exact count rather than a timing.
+
 Wall-clock spans and profilers in the worker threads also count the time a
 layer waits for the GIL while another thread runs; thread CPU does not, so
 these shares can be compared between layers.  With one broker worker the
 jobs run one at a time; the replay's own thread still runs beside them.
 
-Prints one JSON object (seconds and calls per layer, replay wall and
-process CPU).  Not gated::
+Prints one JSON object (seconds and calls per layer, step bytes, replay
+wall and process CPU).  Not gated::
 
     PYTHONPATH=src python benchmarks/bench_replay_cpu.py
 """
@@ -47,6 +52,7 @@ class CpuSplit:
         self.calls: dict[str, int] = defaultdict(int)
         self._lock = threading.Lock()
         self._frame = threading.local()  # tool CPU inside the running executor
+        self.digested: dict[int, PipelineResult] = {}  # every result digested, by id
 
     def add(self, name: str, seconds: float) -> None:
         with self._lock:
@@ -88,8 +94,14 @@ class CpuSplit:
                     self.add(name, time.thread_time() - started)
             return wrapper
 
+        timed_digest = timed("artifacts.digest", digest)
+
+        def recorded_digest(result):
+            self.digested.setdefault(id(result), result)
+            return timed_digest(result)
+
         ToolCatalog.call = timed_call
-        PipelineResult.artifact_digest = timed("artifacts.digest", digest)
+        PipelineResult.artifact_digest = recorded_digest
         pipeline.execute_solution = timed_execute
         pipeline.ArachNet.answer = timed("pipeline.answer", answer)
         try:
@@ -101,6 +113,15 @@ class CpuSplit:
     def summary(self) -> dict:
         return {name: {"thread_cpu_s": round(self.seconds[name], 3), "calls": self.calls[name]}
                 for name in sorted(self.seconds)}
+
+    def step_bytes(self) -> dict[str, int]:
+        """Canonical-JSON bytes per step id over the digested results."""
+        total: dict[str, int] = defaultdict(int)
+        for result in self.digested.values():
+            for step_id, ref in (result.execution.step_refs() or {}).items():
+                total[step_id] += ref.nbytes
+        return {step_id: total[step_id]
+                for step_id in sorted(total, key=lambda sid: (len(sid), sid))}
 
 
 def measure(world_seed: int = 7, incidents: int = 3) -> dict:
@@ -127,6 +148,8 @@ def measure(world_seed: int = 7, incidents: int = 3) -> dict:
         "replay_process_cpu_s": round(cpu, 3),
         "verdicts": sorted((c["event_id"], c["verdict"]) for c in report.forensic_cases),
         "layers": split.summary(),
+        "digested_results": len(split.digested),
+        "step_bytes": split.step_bytes(),
     }
 
 
@@ -149,6 +172,9 @@ def test_replay_cpu_split():
         layer["thread_cpu_s"] for name, layer in layers.items() if name.startswith("tool."))
     assert inside <= layers["pipeline.answer"]["thread_cpu_s"] + 0.05
     assert summary["verdicts"]
+    assert summary["digested_results"] > 0
+    for step_id in ("s1", "s2"):
+        assert summary["step_bytes"].get(step_id, 0) > 0, step_id
 
 
 if __name__ == "__main__":

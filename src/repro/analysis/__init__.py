@@ -7,8 +7,8 @@ argument; SolutionWeaver's embedded quality checks reuse the same
 primitives.
 """
 
-from repro.analysis.stats import mad, median, robust_zscores, summarize
-from repro.analysis.changepoint import binary_segmentation, cusum_change_point
+from repro.analysis.stats import mad, median
+from repro.analysis.changepoint import cusum_change_point
 from repro.analysis.correlate import onset_agreement, temporal_correlation
 from repro.analysis.scoring import rank_suspects
 from repro.analysis.evidence import EvidenceItem, synthesize_evidence
@@ -16,9 +16,6 @@ from repro.analysis.evidence import EvidenceItem, synthesize_evidence
 __all__ = [
     "mad",
     "median",
-    "robust_zscores",
-    "summarize",
-    "binary_segmentation",
     "cusum_change_point",
     "onset_agreement",
     "temporal_correlation",

@@ -1,5 +1,5 @@
-"""Change-point detection: offline CUSUM, binary segmentation, and the
-streaming (online) CUSUM the live subsystem feeds one sample at a time."""
+"""Change-point detection: offline CUSUM and the streaming (online) CUSUM
+the live subsystem feeds one sample at a time."""
 
 from __future__ import annotations
 
@@ -28,46 +28,6 @@ def cusum_change_point(values: list[float], min_segment: int = 3) -> int | None:
     if best_idx is None or best_idx < min_segment or best_idx > n - min_segment:
         return None
     return best_idx
-
-
-def shift_magnitude(values: list[float], idx: int) -> float:
-    """Difference of segment means around a split index."""
-    if not 0 < idx < len(values):
-        raise ValueError("split index out of range")
-    before = values[:idx]
-    after = values[idx:]
-    return sum(after) / len(after) - sum(before) / len(before)
-
-
-def binary_segmentation(
-    values: list[float],
-    min_segment: int = 4,
-    min_shift: float = 0.0,
-    max_depth: int = 4,
-) -> list[int]:
-    """Multiple change points by recursive splitting, sorted ascending.
-
-    Each recursion finds the CUSUM change point of a segment and keeps it
-    when the level shift magnitude exceeds ``min_shift``.
-    """
-    points: list[int] = []
-
-    def recurse(lo: int, hi: int, depth: int) -> None:
-        if depth > max_depth or hi - lo < 2 * min_segment + 2:
-            return
-        segment = values[lo:hi]
-        idx = cusum_change_point(segment, min_segment)
-        if idx is None:
-            return
-        if abs(shift_magnitude(segment, idx)) < min_shift:
-            return
-        split = lo + idx
-        points.append(split)
-        recurse(lo, split, depth + 1)
-        recurse(split, hi, depth + 1)
-
-    recurse(0, len(values), 1)
-    return sorted(points)
 
 
 class StreamingCUSUM:

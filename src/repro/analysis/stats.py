@@ -25,63 +25,6 @@ def mad(values: list[float]) -> float:
     return median([abs(v - m) for v in values])
 
 
-def robust_zscores(values: list[float]) -> list[float]:
-    """Median/MAD z-scores; MAD scaled by 1.4826 for normal consistency.
-
-    A zero MAD (constant series) falls back to unit scale so that a genuine
-    outlier on a flat baseline still scores high rather than dividing by
-    zero.
-    """
-    if not values:
-        return []
-    m = median(values)
-    scale = 1.4826 * mad(values)
-    if scale == 0:
-        scale = 1.0
-    return [(v - m) / scale for v in values]
-
-
-def mean(values: list[float]) -> float:
-    if not values:
-        raise ValueError("mean of empty list")
-    return sum(values) / len(values)
-
-
-def stdev(values: list[float]) -> float:
-    """Population standard deviation."""
-    if not values:
-        raise ValueError("stdev of empty list")
-    mu = mean(values)
-    return math.sqrt(sum((v - mu) ** 2 for v in values) / len(values))
-
-
-def percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile, ``q`` in [0, 100]."""
-    if not values:
-        raise ValueError("percentile of empty list")
-    if not 0 <= q <= 100:
-        raise ValueError("q must be within [0, 100]")
-    ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1, math.ceil(q / 100.0 * len(ordered)) - 1))
-    return ordered[rank]
-
-
-def summarize(values: list[float]) -> dict:
-    """One-shot summary used in quality reports."""
-    if not values:
-        return {"count": 0}
-    return {
-        "count": len(values),
-        "mean": round(mean(values), 4),
-        "median": round(median(values), 4),
-        "stdev": round(stdev(values), 4),
-        "min": min(values),
-        "max": max(values),
-        "p05": percentile(values, 5),
-        "p95": percentile(values, 95),
-    }
-
-
 def rankdata(values: list[float]) -> tuple[list[float], list[int]]:
     """Average 1-based ranks, plus the size of every tie group."""
     order = sorted(range(len(values)), key=values.__getitem__)

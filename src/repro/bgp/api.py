@@ -9,7 +9,7 @@ consequences in the update stream.
 
 from __future__ import annotations
 
-from repro.bgp.anomaly import anomalous_bins, update_rate_series
+from repro.bgp.anomaly import anomalous_bins
 from repro.bgp.collector import CollectorConfig, shared_collector
 from repro.bgp.messages import BGPUpdate, UpdateKind, path_edit_distance
 from repro.synth.world import SyntheticWorld
@@ -62,17 +62,6 @@ def _update_records(update_rows: list[dict]):
         else:
             raise ValueError(f"{kind!r} is not a valid UpdateKind")
         yield float(row["ts"]), withdrawn, row["prefix"]
-
-
-def update_volume_series(
-    update_rows: list[dict],
-    window_start: float,
-    window_end: float,
-    bin_seconds: float = 3600.0,
-) -> list[dict]:
-    """Binned update volume from raw update rows."""
-    updates = [BGPUpdate.from_dict(row) for row in update_rows]
-    return update_rate_series(updates, window_start, window_end, bin_seconds)
 
 
 def summarize_path_changes(update_rows: list[dict]) -> dict:

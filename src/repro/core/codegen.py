@@ -336,7 +336,7 @@ def t_build_cascade_timeline(impact, cascade, path_changes, latency_series, scop
         layer_counts[event["layer"]] = layer_counts.get(event["layer"], 0) + 1
     degraded_pairs = []
     for key, bins in latency_series.items():
-        values = [b["median_rtt_ms"] for b in bins if b.get("median_rtt_ms") is not None]
+        values = [v for v in bins.get("median_rtt_ms", ()) if v is not None]
         if len(values) >= 2 and values[-1] > values[0] * 1.1:
             degraded_pairs.append(key)
     events.sort(key=lambda e: (e["order"], e["layer"], str(e["id"])))

@@ -340,14 +340,15 @@ def default_registry() -> Registry:
         ["series_aggregation", "latency_series"],
         [("measurement_rows", "table from traceroute.run_campaign"), ("group_by", "str"),
          ("bin_seconds", "float")],
-        [("series", "dict key -> list of {bin_start,median_rtt_ms,...}")],
+        [("series", "dict key -> bin columns {bin_start,median_rtt_ms,sample_count,"
+                    "loss_count,loss_rate}, one tuple each, index i = bin i")],
         "repro.traceroute.api:latency_series",
     ))
     registry.add(_entry(
         "traceroute.detect_latency_anomalies",
         "Significant latency level shifts (CUSUM onset + Mann-Whitney test).",
         ["latency_anomaly_detection", "anomaly_detection", "statistical_testing"],
-        [("series_rows", "dict from traceroute.latency_series")],
+        [("series_rows", "dict key -> bin columns from traceroute.latency_series")],
         [("anomalies", "list of {series_key,onset_ts,increase_pct,p_value,significant}")],
         "repro.traceroute.api:detect_latency_anomalies",
     ))

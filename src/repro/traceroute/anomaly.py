@@ -39,22 +39,25 @@ class LatencyAnomaly:
 
 
 def detect_series_anomalies(
-    series: dict[str, list[dict]],
+    series: dict[str, dict[str, tuple]],
     min_increase_pct: float = 10.0,
     alpha: float = 0.01,
 ) -> list[LatencyAnomaly]:
     """Find significant latency level shifts across series.
 
-    ``series`` maps a key to its bins as
-    :func:`~repro.traceroute.series.latency_series` emits them.  For each
-    series: locate the CUSUM change point, compare before/after medians, and
-    accept when the increase exceeds ``min_increase_pct`` with a
-    Mann-Whitney p-value below ``alpha``.  Sorted by increase, largest first.
+    ``series`` maps a key to its bin columns as
+    :func:`~repro.traceroute.series.latency_series` emits them; only
+    ``bin_start`` and ``median_rtt_ms`` are read, and bins whose median is
+    ``None`` are skipped.  For each series: locate the CUSUM change point,
+    compare before/after medians, and accept when the increase exceeds
+    ``min_increase_pct`` with a Mann-Whitney p-value below ``alpha``.
+    Sorted by increase, largest first.
     """
     anomalies: list[LatencyAnomaly] = []
     for key, bins in series.items():
         usable = [
-            (b["bin_start"], b["median_rtt_ms"]) for b in bins if b["median_rtt_ms"] is not None
+            (start, median) for start, median in zip(bins["bin_start"], bins["median_rtt_ms"])
+            if median is not None
         ]
         if len(usable) < 8:
             continue

@@ -39,11 +39,11 @@ def run_campaign(
 
 
 def detect_latency_anomalies(
-    series_rows: dict[str, list[dict]],
+    series_rows: dict[str, dict[str, tuple]],
     min_increase_pct: float = 10.0,
     alpha: float = 0.01,
 ) -> list[dict]:
-    """Significant latency level shifts from serialised series rows."""
+    """Significant latency level shifts from ``latency_series`` bin columns."""
     anomalies = detect_series_anomalies(series_rows, min_increase_pct, alpha)
     return [a.to_dict() for a in anomalies]
 

@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.analysis.changepoint import binary_segmentation, cusum_change_point, shift_magnitude
+from repro.analysis.changepoint import cusum_change_point
 from repro.analysis.correlate import count_in_window, onset_agreement, temporal_correlation
 from repro.analysis.evidence import EvidenceItem, synthesize_evidence
 from repro.analysis.scoring import rank_suspects, score_gap
-from repro.analysis.stats import mad, mean, median, percentile, robust_zscores, stdev, summarize
+from repro.analysis.stats import mad, median
+# The median/MAD z-scores that score BGP update-volume bins.
+from repro.bgp.anomaly import _robust_zscores as robust_zscores
 
 
 # -- stats -----------------------------------------------------------------------
@@ -37,51 +39,18 @@ def test_robust_zscores_constant_series():
     assert scores == [0.0] * 5
 
 
-def test_percentile_bounds():
-    values = list(map(float, range(1, 101)))
-    assert percentile(values, 0) == 1.0
-    assert percentile(values, 100) == 100.0
-    assert percentile(values, 50) == 50.0
-    with pytest.raises(ValueError):
-        percentile(values, 101)
-
-
-def test_summarize_fields():
-    out = summarize([1.0, 2.0, 3.0])
-    assert out["count"] == 3
-    assert out["mean"] == 2.0
-    assert summarize([]) == {"count": 0}
-
-
-def test_mean_stdev():
-    assert mean([2.0, 4.0]) == 3.0
-    assert stdev([2.0, 2.0]) == 0.0
-
-
 # -- change points -----------------------------------------------------------------
 
 def test_cusum_location_and_magnitude():
     values = [10.0] * 15 + [20.0] * 15
     idx = cusum_change_point(values)
     assert idx is not None and 13 <= idx <= 17
-    assert shift_magnitude(values, idx) == pytest.approx(10.0, abs=1.5)
+    before, after = values[:idx], values[idx:]
+    assert sum(after) / len(after) - sum(before) / len(before) == pytest.approx(10.0, abs=1.5)
 
 
 def test_cusum_too_short():
     assert cusum_change_point([1.0, 2.0, 3.0]) is None
-
-
-def test_binary_segmentation_two_shifts():
-    values = [10.0] * 20 + [30.0] * 20 + [5.0] * 20
-    points = binary_segmentation(values, min_shift=5.0)
-    assert len(points) >= 2
-    assert any(15 <= p <= 25 for p in points)
-    assert any(35 <= p <= 45 for p in points)
-
-
-def test_shift_magnitude_range_check():
-    with pytest.raises(ValueError):
-        shift_magnitude([1.0, 2.0], 0)
 
 
 # -- correlation ---------------------------------------------------------------------

@@ -265,10 +265,11 @@ def _serve_all(world, backend, jobs):
 
 def test_bulk_steps_cross_the_process_boundary_as_refs(golden_world, monkeypatch):
     """A process reply carries each step of ``STEP_REF_MIN_BYTES`` or more
-    as a :class:`StepRef` whose digest is the thread backend's value's;
-    smaller steps and the answer stay whole, root digests agree with the
-    thread backend and the goldens, and every reply for the four case
-    queries and the 26-job campaign stays under 64 KiB."""
+    as a :class:`StepRef` whose digest is the thread backend's value's
+    (the columnar latency series too); smaller steps and the answer stay
+    whole, root digests agree with the thread backend and the goldens, and
+    every reply for the four case queries and the 26-job campaign stays
+    under 64 KiB."""
     from tests.test_golden import GOLDEN_CAMPAIGN_DIGESTS, GOLDEN_CASE_DIGESTS
 
     cases = [(f"case:{case}", CASE_QUERIES[case], "case4" if case == 4 else "default")
@@ -292,7 +293,9 @@ def test_bulk_steps_cross_the_process_boundary_as_refs(golden_world, monkeypatch
         assert result.execution.succeeded, tag
         assert result.artifact_digest() == golden[tag], tag
 
-    bulky = [job for job in cases + campaign if job[0] in ("case:4", "cascade:Europe-Asia")]
+    # Each bulky job's latency-series step, a column table per series.
+    series_steps = {"case:4": "s2", "cascade:Europe-Asia": "s11"}
+    bulky = [job for job in cases + campaign if job[0] in series_steps]
     threaded = _serve_all(golden_world, "thread", bulky)
     for tag, _query, _key in bulky:
         values = threaded[tag].execution.outputs["results"]
@@ -309,6 +312,10 @@ def test_bulk_steps_cross_the_process_boundary_as_refs(golden_world, monkeypatch
             else:
                 assert shipped[sid] == value, (tag, sid)
         assert refs >= 3, tag
+        series = values[series_steps[tag]]
+        assert series and all(type(column) is tuple for columns in series.values()
+                              for column in columns.values()), tag
+        assert isinstance(shipped[series_steps[tag]], StepRef), tag
         assert served[tag].execution.outputs["final"] == threaded[tag].execution.outputs["final"]
         assert served[tag].artifact_digest() == threaded[tag].artifact_digest()
 

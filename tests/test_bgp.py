@@ -11,7 +11,6 @@ from repro.bgp.api import (
     detect_routing_anomalies,
     fetch_updates,
     summarize_path_changes,
-    update_volume_series,
 )
 
 DAY = 86_400.0
@@ -169,13 +168,6 @@ def test_correlation_strong_at_onset(world, incident):
 def test_correlation_empty_stream():
     correlation = correlate_updates_with_window([], 0.0, 10.0)
     assert not correlation["correlated"]
-
-
-def test_update_volume_series_api(world, incident):
-    rows = fetch_updates(world, 0.0, 7 * DAY, incidents=[incident])
-    bins = update_volume_series(rows, 0.0, 7 * DAY)
-    assert len(bins) == 168
-    assert sum(b["count"] for b in bins) == len(rows)
 
 
 # -- epoch-delta updates (live feed support) ------------------------------------

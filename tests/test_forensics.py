@@ -494,9 +494,9 @@ def test_live_replay_multi_event_one_case_per_incident(world):
         for c in report.forensic_cases
     ) == [
         ("eq-izmit-2026", "confirmed",
-         "2f68bdf92ac529015ad63113e57b5809e7ee0f4520f16c4a3fc24bb49d500ab0"),
+         "fe9ffd2b7c843958a49a1379d55e667e8894946aff715679a66334b0caf8b7b1"),
         ("eq-taiwan-2026", "confirmed",
-         "06b8c306c5c545530427ea771b260a4acfa4fc5bf952b19d3d10a8b8fc5bffe8"),
+         "2ae06d916006b4747b9af56791688512659a16fc20e76b81d376dcffbcfae96a"),
     ]
 
 

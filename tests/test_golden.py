@@ -20,8 +20,8 @@ from repro.synth.world import WorldConfig, build_world
 GOLDEN_CASE_DIGESTS = {
     1: "efe63a8e2c04a08963135f538967ed091addc53179d33eaccf1edc0d1ec98925",
     2: "e88c1ddaf2efd86a684e57bf25131ba776a884fd8e743b55f101bd8136f6354f",
-    3: "c421330e0b9e8936878284d6786cc19abfffae77d36e7f6f6b70011859018b4c",
-    4: "897dbd4b70555fd59f419e02d8567093ffe6ee10864805a5ca45adb388d500c4",
+    3: "3cb980bbb27ba2af6e2ac683b195f358c5bcc4eb933a46f4c6f9b7f00c8888ee",
+    4: "efca5c928ea5a864e0b5af45912504927c08ee11573209fdd4cd497b9feb5364",
 }
 
 # The seeded scenario matrix the campaign benchmark serves: every cable's
@@ -52,14 +52,14 @@ GOLDEN_CAMPAIGN_DIGESTS = {
     "cable:WACS-2": "e19d2022e0a08f044967b5e11eac8cc870a21fa0d6fee41d5c38f226c39bfe75",
     "disaster:earthquake": "3bd28138e44740a7eec62900d50be3a149b62915e0a6d5cb4887d7888cd5b2ea",
     "disaster:hurricane": "bba85f1dc7fca08dc0432a0dbcba5b99fa58bd118b3f28e562110ab1a59aab54",
-    "cascade:Europe-Asia": "c421330e0b9e8936878284d6786cc19abfffae77d36e7f6f6b70011859018b4c",
+    "cascade:Europe-Asia": "3cb980bbb27ba2af6e2ac683b195f358c5bcc4eb933a46f4c6f9b7f00c8888ee",
 }
 
 # Step digests behind two of the roots above (sha256 of each step output's
 # canonical JSON).
 GOLDEN_CASE4_STEP_DIGESTS = {
     "s1": "53993f998f048fe5a5696ec2525717925c2df14981106d4e7afdfa21e93871da",
-    "s2": "b952d96e3fcf80ee64314b33ae71a1914f6f894389e522bae0be554309c04ea7",
+    "s2": "34d2a40edfd7ea8a090638aae13f841b3bd830cc690efd359d860fc58275e812",
     "s3": "535072fa5fb3dc4ce3d601ccb9d2fa22512134dacc11568153ffe9843d201500",
     "s4": "c266a6a63ab7a507e9fa59034baa2f716a78bb344a8e09d2a502fd00e465f01e",
     "s5": "6c9ea5d636d10fb4765699b1c27392f478f2b6ffc6afcad0c89234c5147a4675",
@@ -81,7 +81,7 @@ GOLDEN_CASCADE_STEP_DIGESTS = {
     "s8": "68a817a0a5ed3ead949a012e7c6b32eadd827ff1070c8ad6e1b7522219077489",
     "s9": "e084603cadb4da7ca552c9b3ae41b6863123d3face624b04ce7645488bcb2a84",
     "s10": "c5c566e2307df38e6dabb83ba6a7043be6ec857ef0789fa2cad9c1652834ae2d",
-    "s11": "bce311b580ed1521cf885d432ac99c96fd4d4e5664affec53b79cdd4235d165d",
+    "s11": "82ca9f782292bc156c7f9c4e5649455079bf16c9a6c270b3840e3b8de63e9808",
     "s12": "52bb65142ef8be416170e4219794eb7e6e140cf5948beb0f535276f9b3e48d66",
 }
 

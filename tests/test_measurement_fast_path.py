@@ -7,7 +7,9 @@ per row; the straightforward versions live in ``measurement_oracles``.
 dicts: ``measurement_oracles.table_rows`` turns the table back into rows,
 which must equal the oracle's exactly — values, key order and row order —
 with ``link_ids`` as the pooled tuple where the oracle builds a list, which
-``canonical_json`` writes identically.
+``canonical_json`` writes identically.  ``latency_series`` returns one
+column table per series where the oracle returns bin objects; column *i*
+must equal the oracle's bin *i*.
 """
 
 import dataclasses
@@ -42,6 +44,7 @@ from repro.synth.geography import Region
 DAY = 86_400.0
 SEEDS = (7, 11, 3)
 GROUP_BYS = ("pair", "src_country", "dst_country", "aggregate")
+SERIES_COLUMNS = ("bin_start", "median_rtt_ms", "sample_count", "loss_count", "loss_rate")
 
 
 @pytest.fixture(scope="module", params=SEEDS, ids=lambda seed: f"world{seed}")
@@ -272,16 +275,45 @@ def test_concurrent_campaigns_build_one_noise_grid(monkeypatch):
     assert len({canonical_json(table) for table in results}) == 1
 
 
-@pytest.mark.parametrize("bin_seconds", [3600.0, 5400.0])
-@pytest.mark.parametrize("group_by", GROUP_BYS)
-def test_latency_series_equal_oracle(campaign, group_by, bin_seconds):
-    table, rows = campaign
+def _assert_series_equal_oracle(table, rows, group_by, bin_seconds):
+    # Each series is one tuple per bin column, in the oracle's series order,
+    # and column i of every series is the oracle's bin i, value for value.
     fast = latency_series(table, group_by=group_by, bin_seconds=bin_seconds)
     reference = oracle.latency_series_from_rows(rows, group_by, bin_seconds)
     assert list(fast) == list(reference)
     for key, bins in reference.items():
-        assert [list(b.items()) for b in fast[key]] == [list(b.to_dict().items()) for b in bins]
-    assert any(b["median_rtt_ms"] is None or b["loss_count"] for s in fast.values() for b in s)
+        columns = fast[key]
+        assert list(columns) == list(SERIES_COLUMNS)
+        assert all(type(column) is tuple for column in columns.values())
+        expected = [b.to_dict() for b in bins]
+        for name in SERIES_COLUMNS:
+            column = [b[name] for b in expected]
+            assert list(columns[name]) == column, (key, name)
+            assert canonical_json(columns[name]) == canonical_json(column), (key, name)
+    gc.collect()
+    assert not any(gc.is_tracked(column) for columns in fast.values()
+                   for column in columns.values())
+    return fast
+
+
+@pytest.mark.parametrize("bin_seconds", [3600.0, 5400.0])
+@pytest.mark.parametrize("group_by", GROUP_BYS)
+def test_latency_series_equal_oracle(seeded_world, campaign, group_by, bin_seconds):
+    # The lossy campaign, the part of it that crossed SeaMeWe-5 (a
+    # paths_crossing_links table) and an empty table.
+    table, rows = campaign
+    fast = _assert_series_equal_oracle(table, rows, group_by, bin_seconds)
+    assert any(None in s["median_rtt_ms"] or any(s["loss_count"]) for s in fast.values())
+
+    link_ids = [link.id for link in
+                seeded_world.links_on_cable(seeded_world.cable_named("SeaMeWe-5").id)]
+    crossing = paths_crossing_links(table, link_ids)
+    assert 0 < len(crossing["ts"]) < len(table["ts"])
+    assert _assert_series_equal_oracle(crossing, oracle.paths_crossing_links(rows, link_ids),
+                                       group_by, bin_seconds)
+
+    empty = {name: column[:0] for name, column in table.items()}
+    assert _assert_series_equal_oracle(empty, [], group_by, bin_seconds) == {}
 
 
 def test_latency_series_rejects_bad_arguments():

@@ -9,7 +9,8 @@ from repro.bgp.collector import BGPCollectorSim
 from repro.synth.world import WorldConfig, build_world
 from repro.analysis.evidence import EvidenceItem, synthesize_evidence
 from repro.analysis.scoring import rank_suspects
-from repro.analysis.stats import mad, median, robust_zscores
+from repro.analysis.stats import mad, median
+from repro.bgp.anomaly import _robust_zscores as robust_zscores
 from repro.bgp.messages import path_edit_distance
 from repro.core.artifacts import CandidateWorkflow, StepType, WorkflowStep
 from repro.core.workflow import WorkflowValidationError, topological_order

@@ -70,6 +70,27 @@ def test_negative_rtt_in_a_table_column_is_reported(case_results):
     _assert_walks_equal_oracle(results)
 
 
+def test_negative_median_in_a_series_column_is_reported(case_results):
+    # Case 4's s2 holds one tuple per bin column; the walks read its medians
+    # and find the p-values that only s3 carries.
+    results = dict(case_results[4])
+    assert all(type(column) is tuple for columns in results["s2"].values()
+               for column in columns.values())
+    assert SIGNIFICANCE(results)["p_value_count"] == len(results["s3"][:300])
+    series = dict(results["s2"])
+    key = next(iter(series))
+    columns = dict(series[key])
+    medians = columns["median_rtt_ms"]
+    assert 5 < len(medians) <= 200 and medians[5] is not None
+    columns["median_rtt_ms"] = medians[:5] + (-2.5,) + medians[6:]
+    series[key] = columns
+    results["s2"] = series
+    report = SANITY(results)
+    assert f"s2.{key}.median_rtt_ms[5]=-2.5 negative" in report["violations"]
+    assert report["violation_count"] == SANITY(case_results[4])["violation_count"] + 1
+    _assert_walks_equal_oracle(results)
+
+
 # Keys whose text the walks must read the way the oracles parse paths: dots
 # and brackets inside keys, and 1 / 1.0 / True, which are one dict key but
 # three spellings.

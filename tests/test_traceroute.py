@@ -120,8 +120,9 @@ def test_series_bin_counts(world):
     rows = run_campaign(world, "europe", "asia", 0.0, 4 * 3600.0, interval_s=3600.0)
     series = latency_series(rows, group_by="aggregate")
     bins = series["all"]
-    assert len(bins) == 4
-    total = sum(b["sample_count"] + b["loss_count"] for b in bins)
+    assert len(bins["bin_start"]) == 4
+    assert all(len(column) == 4 for column in bins.values())
+    total = sum(bins["sample_count"]) + sum(bins["loss_count"])
     assert total == len(rows["ts"])
 
 
