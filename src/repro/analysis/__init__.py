@@ -9,7 +9,7 @@ primitives.
 
 from repro.analysis.stats import mad, median
 from repro.analysis.changepoint import cusum_change_point
-from repro.analysis.correlate import onset_agreement, temporal_correlation
+from repro.analysis.correlate import temporal_correlation
 from repro.analysis.scoring import rank_suspects
 from repro.analysis.evidence import EvidenceItem, synthesize_evidence
 
@@ -17,7 +17,6 @@ __all__ = [
     "mad",
     "median",
     "cusum_change_point",
-    "onset_agreement",
     "temporal_correlation",
     "rank_suspects",
     "EvidenceItem",

@@ -1,25 +1,6 @@
-"""Temporal correlation between event streams and detected onsets."""
+"""Temporal correlation between two event streams."""
 
 from __future__ import annotations
-
-
-def onset_agreement(onset_a: float, onset_b: float, tolerance_s: float = 7200.0) -> dict:
-    """Do two independently detected onsets agree in time?
-
-    Returns the gap and a 0..1 agreement score that decays linearly to zero
-    at ``tolerance_s``.
-    """
-    if tolerance_s <= 0:
-        raise ValueError("tolerance must be positive")
-    gap = abs(onset_a - onset_b)
-    score = max(0.0, 1.0 - gap / tolerance_s)
-    return {
-        "onset_a": onset_a,
-        "onset_b": onset_b,
-        "gap_seconds": gap,
-        "agreement": round(score, 4),
-        "agrees": gap <= tolerance_s,
-    }
 
 
 def temporal_correlation(
@@ -58,10 +39,3 @@ def temporal_correlation(
             best_corr = corr
             best_lag = lag
     return {"best_lag": best_lag, "correlation": round(best_corr, 4)}
-
-
-def count_in_window(timestamps: list[float], start: float, end: float) -> int:
-    """How many timestamps fall inside ``[start, end]``."""
-    if end < start:
-        raise ValueError("end before start")
-    return sum(1 for t in timestamps if start <= t <= end)

@@ -1,4 +1,4 @@
-"""BGP substrate: update streams, RIBs, collectors, anomaly detection.
+"""BGP substrate: update streams, collectors, anomaly detection.
 
 Replaces RouteViews/RIS feeds with a collector simulation driven by the
 world's policy routing.  Steady state produces low-rate background churn;
@@ -7,10 +7,9 @@ exploration and re-convergence that the forensic case study correlates with
 latency anomalies.
 """
 
-from repro.bgp.messages import BGPUpdate, RouteRecord, UpdateKind
-from repro.bgp.rib import RoutingTable
+from repro.bgp.messages import BGPUpdate, UpdateKind
 from repro.bgp.collector import BGPCollectorSim, CollectorConfig, shared_collector
-from repro.bgp.anomaly import RoutingAnomaly, detect_update_anomalies, update_rate_series
+from repro.bgp.anomaly import RoutingAnomaly
 from repro.bgp.api import (
     correlate_updates_with_window,
     detect_routing_anomalies,
@@ -20,14 +19,10 @@ from repro.bgp.api import (
 
 __all__ = [
     "BGPUpdate",
-    "RouteRecord",
     "UpdateKind",
-    "RoutingTable",
     "BGPCollectorSim",
     "CollectorConfig",
     "RoutingAnomaly",
-    "detect_update_anomalies",
-    "update_rate_series",
     "correlate_updates_with_window",
     "detect_routing_anomalies",
     "fetch_updates",

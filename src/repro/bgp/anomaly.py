@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.bgp.messages import BGPUpdate, UpdateKind
-
 
 @dataclass(frozen=True)
 class RoutingAnomaly:
@@ -40,28 +38,6 @@ class RoutingAnomaly:
         }
 
 
-def update_rate_series(
-    updates: list[BGPUpdate], window_start: float, window_end: float, bin_seconds: float = 3600.0
-) -> list[dict]:
-    """Binned update volume: ``[{bin_start, count, withdrawals}]``."""
-    if bin_seconds <= 0:
-        raise ValueError("bin_seconds must be positive")
-    n_bins = max(1, int((window_end - window_start) / bin_seconds))
-    bins = [
-        {"bin_start": window_start + i * bin_seconds, "count": 0, "withdrawals": 0}
-        for i in range(n_bins)
-    ]
-    for update in updates:
-        idx = int((update.ts - window_start) / bin_seconds)
-        if update.ts == window_end:
-            idx = n_bins - 1  # the window is closed on the right
-        if 0 <= idx < n_bins:
-            bins[idx]["count"] += 1
-            if update.kind is UpdateKind.WITHDRAW:
-                bins[idx]["withdrawals"] += 1
-    return bins
-
-
 def _robust_zscores(counts: list[int]) -> list[float]:
     ordered = sorted(counts)
     n = len(ordered)
@@ -70,18 +46,6 @@ def _robust_zscores(counts: list[int]) -> list[float]:
     mad = deviations[n // 2] if n % 2 == 1 else (deviations[n // 2 - 1] + deviations[n // 2]) / 2.0
     scale = 1.4826 * mad if mad > 0 else 1.0
     return [(c - median) / scale for c in counts]
-
-
-def detect_update_anomalies(
-    updates: list[BGPUpdate],
-    window_start: float,
-    window_end: float,
-    bin_seconds: float = 3600.0,
-    z_threshold: float = 3.0,
-) -> list[RoutingAnomaly]:
-    """Anomalous bins in the update stream, most severe first."""
-    records = ((u.ts, u.kind is UpdateKind.WITHDRAW, u.prefix) for u in updates)
-    return anomalous_bins(records, window_start, window_end, bin_seconds, z_threshold)
 
 
 def anomalous_bins(
@@ -94,8 +58,8 @@ def anomalous_bins(
     """Anomalous bins over ``(ts, withdrawn, prefix)`` records, most severe
     first, in one pass over the records.
 
-    Bins are counted as :func:`update_rate_series` counts them.  An
-    anomaly's prefixes are those updated in ``[bin start, bin start +
+    A record counts in bin ``int((ts - window_start) / bin_seconds)``, and
+    a stamp at ``window_end`` in the last bin.  An anomaly's prefixes are those updated in ``[bin start, bin start +
     bin_seconds)``; every bin's are collected during the pass, checking the
     bins either side of the counted one too, since rounding can put a stamp
     on the far side of an edge.

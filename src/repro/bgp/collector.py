@@ -44,7 +44,6 @@ from repro.bgp.messages import BGPUpdate, UpdateKind
 from repro.topology.relations import AdjacencyIndex, ASGraph, failed_as_pairs
 from repro.topology.routing import (
     LegacyValleyFreeRouter,
-    ValleyFreeRouter,
     path_adjacencies,
     path_crosses,
     shared_index,
@@ -154,10 +153,6 @@ class RouteDeltaStream:
         self.routes_emitted = 0
         self.bytes_emitted = 0
         self.last_delta: RouteDelta | None = None
-
-    @property
-    def position(self) -> frozenset[str]:
-        return self._position
 
     @property
     def closed(self) -> bool:
@@ -282,10 +277,6 @@ class BGPCollectorSim:
     @property
     def peers(self) -> list[int]:
         return list(self._peers)
-
-    def baseline_routes(self) -> dict[tuple[int, str], tuple[int, ...]]:
-        """(peer, prefix) → AS path at steady state."""
-        return dict(self.routes_under(frozenset()))
 
     def routes_under(
         self, failed_link_ids: frozenset[str] = frozenset()
@@ -682,15 +673,6 @@ class BGPCollectorSim:
         registry.gauge("routing_route_cache_pinned", labels).set(info["pinned"])
         registry.gauge("routing_repair_frontier_peak", labels).set(
             info["repair_frontier_peak"]
-        )
-
-    def attach_metrics(self, registry, labels: dict | None = None) -> None:
-        """Register a scrape-time collector (Prometheus custom-collector
-        style) that keeps the registry's ``routing_*`` series current —
-        ``/metrics`` and ``--metrics-dump`` then cover the routing core
-        without the hot path ever touching an instrument."""
-        registry.register_collector(
-            lambda reg, sim=self, lb=labels: sim.sync_metrics(reg, lb)
         )
 
     # -- update generation ----------------------------------------------------

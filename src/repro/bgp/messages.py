@@ -1,4 +1,4 @@
-"""BGP message and route-record models (MRT-shaped, minus the bytes)."""
+"""BGP update messages (MRT-shaped, minus the bytes)."""
 
 from __future__ import annotations
 
@@ -21,10 +21,6 @@ class BGPUpdate:
     kind: UpdateKind
     prefix: str
     as_path: tuple[int, ...] = ()
-
-    @property
-    def origin_asn(self) -> int | None:
-        return self.as_path[-1] if self.as_path else None
 
     def to_dict(self) -> dict:
         """The update as a row of scalars; ``as_path`` is this update's own
@@ -49,30 +45,6 @@ class BGPUpdate:
             prefix=row["prefix"],
             as_path=tuple(int(a) for a in row.get("as_path", ())),
         )
-
-
-@dataclass(frozen=True)
-class RouteRecord:
-    """A RIB entry: the route one peer currently gives for one prefix."""
-
-    collector: str
-    peer_asn: int
-    prefix: str
-    as_path: tuple[int, ...]
-    ts: float
-
-    @property
-    def origin_asn(self) -> int | None:
-        return self.as_path[-1] if self.as_path else None
-
-    def to_dict(self) -> dict:
-        return {
-            "collector": self.collector,
-            "peer_asn": self.peer_asn,
-            "prefix": self.prefix,
-            "as_path": self.as_path,
-            "ts": self.ts,
-        }
 
 
 def path_edit_distance(a: tuple[int, ...], b: tuple[int, ...]) -> int:

@@ -41,7 +41,6 @@ from repro.core.catalog import (
     CatalogError,
     MeasurementContext,
     ToolCatalog,
-    build_catalog,
 )
 from repro.core.codegen import count_loc, generate_solution
 from repro.core.executor import execute_solution
@@ -77,7 +76,6 @@ __all__ = [
     "CatalogError",
     "MeasurementContext",
     "ToolCatalog",
-    "build_catalog",
     "count_loc",
     "generate_solution",
     "execute_solution",

@@ -152,12 +152,6 @@ class ProblemAnalysis:
     risks: list[Risk] = field(default_factory=list)
     success_criteria: list[SuccessCriterion] = field(default_factory=list)
 
-    def sub_problem(self, sp_id: str) -> SubProblem:
-        for sp in self.sub_problems:
-            if sp.id == sp_id:
-                return sp
-        raise KeyError(f"unknown sub-problem {sp_id!r}")
-
     def blocking_constraints(self) -> list[Constraint]:
         return [c for c in self.constraints if c.blocking]
 

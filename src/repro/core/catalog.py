@@ -65,20 +65,6 @@ class ToolCatalog:
     def context(self) -> MeasurementContext:
         return self._context
 
-    def validate(self) -> list[str]:
-        """Resolve every entry eagerly; returns the list of broken entries."""
-        broken: list[str] = []
-        for name in self._registry.names():
-            entry = self._registry.get(name)
-            if not entry.callable_ref:
-                broken.append(name)
-                continue
-            try:
-                resolve_callable(entry.callable_ref)
-            except CatalogError:
-                broken.append(name)
-        return broken
-
     def call(self, entry_name: str, **kwargs):
         """Invoke a registry entry with context injection.
 
@@ -137,12 +123,3 @@ def composite_placeholder(world, **params):
         "composite registry entries are expanded at design time and cannot "
         "be invoked directly"
     )
-
-
-def build_catalog(
-    registry: Registry,
-    world: SyntheticWorld,
-    incidents: list[LatencyIncident] | None = None,
-) -> ToolCatalog:
-    """Convenience constructor for the common case."""
-    return ToolCatalog(registry, MeasurementContext(world=world, incidents=list(incidents or [])))

@@ -3,13 +3,10 @@
 The paper's prototype runs Claude Sonnet 4 behind four agent prompts.  This
 package keeps the same seam — agents build prompt strings, send them through
 an :class:`~repro.core.llm.client.LLMClient`, and parse structured JSON out
-of the reply — while shipping two offline backends:
-
-* :class:`~repro.core.llm.simulated.SimulatedLLM` — a deterministic
-  expert-system backend that encodes the same measurement reasoning the
-  paper's prompt engineering distilled from human experts.
-* :class:`~repro.core.llm.scripted.ScriptedLLM` — canned replies for tests
-  (including malformed ones, to exercise retry paths).
+of the reply — while shipping one offline backend,
+:class:`~repro.core.llm.simulated.SimulatedLLM`: a deterministic
+expert-system backend that encodes the same measurement reasoning the
+paper's prompt engineering distilled from human experts.
 
 A real API client can be dropped in by implementing ``complete``.
 """
@@ -24,7 +21,6 @@ from repro.core.llm.client import (
     extract_json,
 )
 from repro.core.llm.simulated import SimulatedLLM
-from repro.core.llm.scripted import ScriptedLLM
 
 __all__ = [
     "LLMClient",
@@ -35,5 +31,4 @@ __all__ = [
     "complete_json",
     "extract_json",
     "SimulatedLLM",
-    "ScriptedLLM",
 ]

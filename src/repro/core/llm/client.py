@@ -24,10 +24,6 @@ class LLMRequest:
     attempt: int = 1
     metadata: dict = field(default_factory=dict, hash=False, compare=False)
 
-    @property
-    def full_prompt(self) -> str:
-        return f"{self.system}\n\n{self.user}"
-
 
 @dataclass(frozen=True)
 class LLMResponse:

@@ -31,12 +31,9 @@ class SimulatedLLM:
         self._fail_first_attempts = fail_first_attempts
         self._calls = 0
         # The serve worker pool drives one backend from many threads; the
-        # counter must not under-count (it feeds cache-savings accounting).
+        # counter must not under-count (it decides which completions
+        # ``fail_first_attempts`` garbles).
         self._count_lock = threading.Lock()
-
-    @property
-    def call_count(self) -> int:
-        return self._calls
 
     def complete(self, request: LLMRequest) -> LLMResponse:
         with self._count_lock:

@@ -20,9 +20,7 @@ from repro.evalharness.casestudies import (
     run_case2,
     run_case3,
     run_case4,
-    run_all_case_studies,
 )
-from repro.evalharness.report import format_report_table
 
 __all__ = [
     "TARGET_STAGE_KINDS",
@@ -36,6 +34,4 @@ __all__ = [
     "run_case2",
     "run_case3",
     "run_case4",
-    "run_all_case_studies",
-    "format_report_table",
 ]

@@ -52,15 +52,6 @@ class CaseStudyReport:
     def all_passed(self) -> bool:
         return all(self.checks.values())
 
-    def summary_rows(self) -> list[dict]:
-        rows = []
-        for name, value in self.metrics.items():
-            rows.append({"case": self.case, "metric": name, "value": value})
-        for name, passed in self.checks.items():
-            rows.append({"case": self.case, "metric": f"check:{name}",
-                         "value": "PASS" if passed else "FAIL"})
-        return rows
-
 
 def _analysis_registry_steps(result: PipelineResult, exclude: tuple[str, ...] = ()) -> set[str]:
     return {
@@ -254,8 +245,3 @@ def run_case4(
         "loc_same_order": 0.3 * PAPER_LOC[4] <= result.solution.loc <= 3 * PAPER_LOC[4],
     }
     return report
-
-
-def run_all_case_studies(world: SyntheticWorld) -> list[CaseStudyReport]:
-    """All four case studies in order."""
-    return [run_case1(world), run_case2(world), run_case3(world), run_case4(world)]

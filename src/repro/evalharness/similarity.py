@@ -63,9 +63,3 @@ def top_k_overlap(
         return 1.0
     denom = min(k, max(len(top_a), len(top_b)))
     return len(top_a & top_b) / denom if denom else 0.0
-
-
-def relative_error(value_a: float, value_b: float) -> float:
-    """|a-b| / max(|a|,|b|), zero when both are zero."""
-    denom = max(abs(value_a), abs(value_b))
-    return abs(value_a - value_b) / denom if denom else 0.0

@@ -34,7 +34,6 @@ class Subscription:
         self.maxlen = maxlen
         self._queue: deque = deque()
         self._lock = threading.Lock()
-        self.closed = False
         metrics = metrics if metrics is not None else MetricsRegistry()
         labels = {"topic": topic, "subscriber": name}
         self._received = metrics.counter("bus_received_total", labels)
@@ -52,8 +51,6 @@ class Subscription:
     def _offer(self, item) -> None:
         warn = False
         with self._lock:
-            if self.closed:
-                return
             if len(self._queue) >= self.maxlen:
                 self._queue.popleft()
                 self._dropped.inc()
@@ -95,7 +92,6 @@ class Subscription:
                 "maxlen": self.maxlen,
                 "received": self.received,
                 "dropped": self.dropped,
-                "closed": self.closed,
             }
 
 
@@ -116,13 +112,6 @@ class EventBus:
         with self._lock:
             self._subs.setdefault(topic, []).append(sub)
         return sub
-
-    def unsubscribe(self, sub: Subscription) -> None:
-        with self._lock:
-            subs = self._subs.get(sub.topic, [])
-            if sub in subs:
-                subs.remove(sub)
-        sub.closed = True
 
     def publish(self, topic: str, item) -> int:
         """Deliver to every subscriber of ``topic``; returns delivery count."""

@@ -222,10 +222,6 @@ class WorldTimeline:
 
     # -- per-event ground truth ---------------------------------------------
 
-    def event_links(self, event_id: str) -> frozenset[str]:
-        """The IP links this event's failure draw severed."""
-        return self._event_links[event_id]
-
     def event_cables(self, event_id: str) -> tuple[str, ...]:
         """The cable ids this event's failure draw broke."""
         return self._event_cables[event_id]

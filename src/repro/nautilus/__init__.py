@@ -11,14 +11,13 @@ underneath are usable directly for finer control.
 """
 
 from repro.nautilus.geolocation import GeoResult, Geolocator
-from repro.nautilus.sol import FIBER_SPEED_KM_PER_MS, min_rtt_ms, sol_compatible
+from repro.nautilus.sol import FIBER_SPEED_KM_PER_MS, min_rtt_ms
 from repro.nautilus.mapping import CableMapping, CrossLayerMapper, world_cable_mappings
 from repro.nautilus.dependencies import CableDependencies, extract_cable_dependencies
 from repro.nautilus.api import (
     geolocate_ips,
     get_cable_dependencies,
     get_cable_info,
-    get_landing_points,
     list_cables,
     map_ip_links_to_cables,
     sol_validate_link,
@@ -29,7 +28,6 @@ __all__ = [
     "Geolocator",
     "FIBER_SPEED_KM_PER_MS",
     "min_rtt_ms",
-    "sol_compatible",
     "CableMapping",
     "CrossLayerMapper",
     "world_cable_mappings",
@@ -38,7 +36,6 @@ __all__ = [
     "geolocate_ips",
     "get_cable_dependencies",
     "get_cable_info",
-    "get_landing_points",
     "list_cables",
     "map_ip_links_to_cables",
     "sol_validate_link",

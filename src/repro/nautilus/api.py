@@ -66,11 +66,6 @@ def get_cable_info(world: SyntheticWorld, cable_name: str) -> dict:
     }
 
 
-def get_landing_points(world: SyntheticWorld, cable_name: str) -> list[dict]:
-    """Ordered landing points of a cable."""
-    return get_cable_info(world, cable_name)["landing_points"]
-
-
 def map_ip_links_to_cables(world: SyntheticWorld) -> dict[str, dict]:
     """The cross-layer mapping of every submarine link, as JSON-able rows.
 

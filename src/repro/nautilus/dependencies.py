@@ -105,17 +105,6 @@ def extract_cable_dependencies(
     return deps
 
 
-def cables_touching_country(world: SyntheticWorld, country_code: str) -> list[str]:
-    """Cable ids with at least one landing point in the given country."""
-    out: list[str] = []
-    for cable in world.cables.values():
-        for lp_id in cable.landing_point_ids:
-            if world.landing_points[lp_id].country_code == country_code:
-                out.append(cable.id)
-                break
-    return out
-
-
 def cables_between_regions(world: SyntheticWorld, region_a, region_b) -> list[str]:
     """Cables with landing points in both regions (e.g. Europe and Asia).
 

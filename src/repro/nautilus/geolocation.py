@@ -82,12 +82,6 @@ class Geolocator:
             source=source,
         )
 
-    def locate_many(self, ips: list[str]) -> dict[str, GeoResult]:
-        return {ip: self.locate(ip) for ip in ips}
-
-    def country_of(self, ip: str) -> str:
-        return self.locate(ip).country_code
-
     def distance_km(self, ip_a: str, ip_b: str) -> float:
         """Great-circle distance between two geolocated IPs."""
         a = self.locate(ip_a)

@@ -64,10 +64,6 @@ class CableMapping:
     candidates: tuple[tuple[str, float], ...] = field(default=())  # (cable_id, score)
     rtt_validated: bool = False
 
-    @property
-    def is_confident(self) -> bool:
-        return self.confidence >= 0.5
-
 
 class CrossLayerMapper:
     """Maps submarine IP links to cables using geometry plus RTT validation."""

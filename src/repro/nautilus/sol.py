@@ -17,28 +17,3 @@ def min_rtt_ms(distance_km: float) -> float:
     if distance_km < 0:
         raise ValueError("distance cannot be negative")
     return 2.0 * distance_km / FIBER_SPEED_KM_PER_MS
-
-
-def max_distance_km(rtt_ms: float) -> float:
-    """Upper bound on one-way fiber distance given an observed RTT."""
-    if rtt_ms < 0:
-        raise ValueError("RTT cannot be negative")
-    return rtt_ms * FIBER_SPEED_KM_PER_MS / 2.0
-
-
-def sol_compatible(rtt_ms: float, distance_km: float, slack_ms: float = 2.0) -> bool:
-    """True when an observed RTT is physically achievable over a distance.
-
-    ``slack_ms`` absorbs serialisation and queueing; Nautilus uses a small
-    constant for the same purpose.
-    """
-    return rtt_ms + slack_ms >= min_rtt_ms(distance_km)
-
-
-def path_feasible(rtt_ms: float, path_km: float, slack_ms: float = 2.0) -> bool:
-    """True when a candidate physical path could explain an observed RTT.
-
-    The inverse check of :func:`sol_compatible`: a candidate *path* is ruled
-    out when light could not traverse it within the observed RTT.
-    """
-    return min_rtt_ms(path_km) <= rtt_ms + slack_ms

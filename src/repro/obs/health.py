@@ -44,7 +44,7 @@ import re
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: EventBus topic SLO breach/recovery events are published on.
 HEALTH_TOPIC = "health"

@@ -75,11 +75,6 @@ class ObsServer:
         if thread is not None:
             thread.join(timeout=5)
 
-    def url(self, path: str = "/") -> str:
-        if not path.startswith("/"):
-            path = "/" + path
-        return f"http://{self.host}:{self.port}{path}"
-
     def __enter__(self) -> "ObsServer":
         return self.start()
 

@@ -223,13 +223,6 @@ class Tracer:
         with self._lock:
             self._listeners.append(fn)
 
-    def remove_listener(self, fn) -> None:
-        with self._lock:
-            try:
-                self._listeners.remove(fn)
-            except ValueError:
-                pass
-
     def _notify(self, rows: list[dict]) -> None:
         if not rows:
             return
@@ -308,9 +301,6 @@ class NullTracer:
         return 0.0
 
     def add_listener(self, fn) -> None:
-        pass
-
-    def remove_listener(self, fn) -> None:
         pass
 
     def start_span(self, name, parent=None, cat="app", trace_id=None, **args):

@@ -133,19 +133,6 @@ class CampaignReport:
             "replayed": self.replayed,
         }
 
-    def summary_rows(self) -> list[tuple]:
-        rows = [
-            ("jobs", f"{self.succeeded}/{self.total} ok"),
-            ("duration", f"{self.duration_s:.2f}s"),
-            ("throughput", f"{self.jobs_per_sec:.1f} jobs/s"),
-        ]
-        if self.cache:
-            rows.append(("cache hit rate", f"{self.cache['hit_rate']:.0%}"))
-        for row in self.top_countries[:5]:
-            rows.append((f"top impact {row['country']}",
-                         f"score {row['mean_score']:.3f} in {row['appearances']} scenarios"))
-        return rows
-
 
 def _extract_country_rows(result) -> list[dict]:
     """Country-ranking rows from a pipeline result's final output, if any."""

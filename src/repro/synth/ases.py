@@ -51,9 +51,6 @@ class ASRelationship:
     b: int
     kind: RelationshipKind
 
-    def involves(self, asn: int) -> bool:
-        return asn == self.a or asn == self.b
-
 
 _TRANSIT_SYLLABLES = ("Tele", "Net", "Glo", "Trans", "Inter", "Core", "Back")
 _TRANSIT_SUFFIXES = ("com", "net", "link", "wave", "path", "bone")
@@ -79,26 +76,6 @@ class ASLayer:
 
     def by_country(self, code: str) -> list[AutonomousSystem]:
         return [a for a in self.ases.values() if a.country_code == code]
-
-    def by_tier(self, tier: int) -> list[AutonomousSystem]:
-        return [a for a in self.ases.values() if a.tier == tier]
-
-    def providers_of(self, asn: int) -> list[int]:
-        return [r.b for r in self.relationships if r.kind is RelationshipKind.CUSTOMER_PROVIDER and r.a == asn]
-
-    def customers_of(self, asn: int) -> list[int]:
-        return [r.a for r in self.relationships if r.kind is RelationshipKind.CUSTOMER_PROVIDER and r.b == asn]
-
-    def peers_of(self, asn: int) -> list[int]:
-        out: list[int] = []
-        for r in self.relationships:
-            if r.kind is not RelationshipKind.PEER_PEER:
-                continue
-            if r.a == asn:
-                out.append(r.b)
-            elif r.b == asn:
-                out.append(r.a)
-        return out
 
 
 def generate_as_layer(

@@ -36,10 +36,6 @@ class Country:
     lon: float
     weight: float  # relative Internet footprint; drives AS/prefix counts
 
-    @property
-    def centroid(self) -> tuple[float, float]:
-        return (self.lat, self.lon)
-
 
 @dataclass(frozen=True)
 class CoastalCity:
@@ -183,14 +179,6 @@ def country_by_code(code: str) -> Country:
     return _BY_CODE[code]
 
 
-def all_country_codes() -> list[str]:
-    return [c.code for c in COUNTRIES]
-
-
-def countries_in_region(region: Region) -> list[Country]:
-    return [c for c in COUNTRIES if c.region == region]
-
-
 def city_by_name(name: str) -> CoastalCity:
     """Return the coastal city with the given name (``KeyError`` if unknown)."""
     return _CITY_BY_NAME[name]
@@ -207,13 +195,6 @@ def haversine_km(a: tuple[float, float], b: tuple[float, float]) -> float:
     dlon = lon2 - lon1
     h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
-
-
-def path_length_km(points: list[tuple[float, float]]) -> float:
-    """Total great-circle length of a polyline of ``(lat, lon)`` points."""
-    if len(points) < 2:
-        return 0.0
-    return sum(haversine_km(points[i], points[i + 1]) for i in range(len(points) - 1))
 
 
 def point_within_radius(

@@ -19,7 +19,6 @@ from repro.synth.ases import ASLayer, AutonomousSystem
 from repro.synth.cables import LandingPoint, SubmarineCable
 from repro.synth.geography import (
     COASTAL_CITIES,
-    Region,
     country_by_code,
     haversine_km,
 )
@@ -69,13 +68,6 @@ class IPLink:
     @property
     def as_pair(self) -> tuple[int, int]:
         return (min(self.asn_a, self.asn_b), max(self.asn_a, self.asn_b))
-
-    def other_end(self, ip: str) -> str:
-        if ip == self.ip_a:
-            return self.ip_b
-        if ip == self.ip_b:
-            return self.ip_a
-        raise ValueError(f"{ip} is not an endpoint of link {self.id}")
 
 
 def allocate_prefixes(ases: dict[int, AutonomousSystem]) -> dict[int, list[Prefix]]:

@@ -9,7 +9,7 @@ traceroute and BGP substrates derive observable evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from repro.synth.world import SyntheticWorld

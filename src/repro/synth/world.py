@@ -22,7 +22,7 @@ from repro.synth.cables import (
     build_landing_points,
     cable_by_name,
 )
-from repro.synth.geography import COUNTRIES, Country, Region, country_by_code
+from repro.synth.geography import COUNTRIES, Country
 from repro.synth.iplinks import IPLink, LinkKind, Prefix, allocate_prefixes, build_ip_links
 
 T = TypeVar("T")
@@ -108,17 +108,11 @@ class SyntheticWorld:
     def country(self, code: str) -> Country:
         return self.countries[code]
 
-    def countries_in_region(self, region: Region) -> list[Country]:
-        return [c for c in self.countries.values() if c.region == region]
-
     def links_on_cable(self, cable_id: str) -> list[IPLink]:
         return list(self.links_by_cable.get(cable_id, []))
 
     def submarine_links(self) -> list[IPLink]:
         return [l for l in self.ip_links if l.kind is LinkKind.SUBMARINE]
-
-    def prefixes_of(self, asn: int) -> list[Prefix]:
-        return list(self.prefixes.get(asn, []))
 
     def all_prefixes(self) -> list[Prefix]:
         """Every announced prefix, memoized — callers must not mutate it."""

@@ -1,8 +1,7 @@
-"""Dependencies: who depends on whom, at the AS and cable layers.
+"""Dependencies: who depends on whom, at the AS layer.
 
 ``as_dependency_scores`` is an AS-hegemony-style metric: the fraction of all
-policy paths that transit an AS.  ``shared_cable_ases`` links the physical
-and logical layers: the ASes that ride several of a set of cables.
+policy paths that transit an AS.
 """
 
 from __future__ import annotations
@@ -36,16 +35,3 @@ def as_dependency_scores(world: SyntheticWorld, sample_sources: int | None = Non
     if total_paths == 0:
         return {asn: 0.0 for asn in graph.all_asns}
     return {asn: count / total_paths for asn, count in transit_counts.items()}
-
-
-def shared_cable_ases(world: SyntheticWorld, cable_ids: list[str]) -> list[int]:
-    """ASes with links on at least two of the given cables.
-
-    These are the propagation bridges a multi-cable failure stresses first.
-    """
-    counts: dict[int, set[str]] = {}
-    for cable_id in cable_ids:
-        for link in world.links_on_cable(cable_id):
-            for asn in (link.asn_a, link.asn_b):
-                counts.setdefault(asn, set()).add(cable_id)
-    return sorted(asn for asn, cables in counts.items() if len(cables) >= 2)

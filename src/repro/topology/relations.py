@@ -64,9 +64,6 @@ class ASGraph:
             pruned.peers[asn] = {p for p in self.peers[asn] if alive(asn, p)}
         return pruned
 
-    def degree(self, asn: int) -> int:
-        return len(self.providers[asn]) + len(self.customers[asn]) + len(self.peers[asn])
-
 
 class AdjacencyIndex:
     """Link→AS-pair indexes for fast severed-adjacency computation.

@@ -208,20 +208,6 @@ class RoutingIndex:
         should hoist :meth:`filtered_rows` and share it across sources."""
         return self.paths_over(src, self.filtered_rows(dead_idx_pairs))
 
-    def tables_for(
-        self,
-        sources,
-        dead_pairs=None,
-    ) -> dict[int, dict[int, tuple[int, ...]]]:
-        """Batched multi-origin SPF: one call converges every source.
-
-        ``dead_pairs`` holds normalised ASN pairs (as produced by
-        :class:`~repro.topology.relations.AdjacencyIndex`); they are interned
-        and row-filtered once, shared across all source sweeps.
-        """
-        rows = self.filtered_rows(self.intern_pairs(dead_pairs))
-        return {src: self.paths_over(src, rows) for src in sources}
-
 
 _SHARED_INDEX_LOCK = threading.Lock()
 
@@ -256,8 +242,6 @@ class ValleyFreeRouter:
     """
 
     def __init__(self, graph: ASGraph, dead_pairs: set[tuple[int, int]] | None = None):
-        self._graph = graph
-        self._dead_pairs = dead_pairs or None
         self._index = shared_index(graph)
         self._rows = self._index.filtered_rows(self._index.intern_pairs(dead_pairs))
         self._cache: dict[int, dict[int, tuple[int, ...]]] = {}
@@ -272,18 +256,6 @@ class ValleyFreeRouter:
     def best_path(self, src: int, dst: int) -> tuple[int, ...] | None:
         """Shortest valley-free path, or ``None`` when policy forbids any."""
         return self.paths_from(src).get(dst)
-
-    def reachable_from(self, src: int) -> set[int]:
-        return set(self.paths_from(src).keys())
-
-    def invalidate(self) -> None:
-        """Drop cached paths and re-intern (call after mutating the graph)."""
-        self._cache.clear()
-        with _SHARED_INDEX_LOCK:
-            index = RoutingIndex(self._graph)
-            self._graph._routing_index = index
-        self._index = index
-        self._rows = index.filtered_rows(index.intern_pairs(self._dead_pairs))
 
 
 class LegacyValleyFreeRouter:
@@ -367,13 +339,3 @@ class LegacyValleyFreeRouter:
     def best_path(self, src: int, dst: int) -> tuple[int, ...] | None:
         """Shortest valley-free path, or ``None`` when policy forbids any."""
         return self.paths_from(src).get(dst)
-
-    def reachable_from(self, src: int) -> set[int]:
-        return set(self.paths_from(src).keys())
-
-    def invalidate(self) -> None:
-        """Drop cached paths and adjacency (call after mutating the graph)."""
-        self._cache.clear()
-        self._providers.clear()
-        self._customers.clear()
-        self._peers.clear()

@@ -11,8 +11,8 @@ The versatile :func:`repro.xaminer.api.process_event` is the single entry
 point case study 2 leans on; the submodules expose each stage separately.
 """
 
-from repro.xaminer.events import EventFootprint, event_footprint, footprint_exposures
-from repro.xaminer.failures import FailureSample, expected_failure_weights, simulate_failures
+from repro.xaminer.events import EventFootprint, event_footprint
+from repro.xaminer.failures import FailureSample, simulate_failures
 from repro.xaminer.impact import CountryImpact, ImpactReport, compute_impact
 from repro.xaminer.aggregate import (
     as_impact_embeddings,
@@ -32,9 +32,7 @@ from repro.xaminer.api import (
 __all__ = [
     "EventFootprint",
     "event_footprint",
-    "footprint_exposures",
     "FailureSample",
-    "expected_failure_weights",
     "simulate_failures",
     "CountryImpact",
     "ImpactReport",

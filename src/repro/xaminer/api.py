@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.xaminer.aggregate import as_impact_embeddings, rank_countries
 from repro.xaminer.events import event_footprint
 from repro.xaminer.failures import simulate_failures
-from repro.xaminer.impact import ImpactReport, compute_impact
+from repro.xaminer.impact import compute_impact
 from repro.xaminer.risk import country_risk_profile, most_exposed_countries
 from repro.synth.scenarios import DisasterEvent, DisasterKind, default_disaster_catalog
 from repro.synth.world import SyntheticWorld

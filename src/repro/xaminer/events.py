@@ -26,10 +26,6 @@ class EventFootprint:
     cable_exposure: dict[str, float] = field(default_factory=dict)  # cable_id -> 0..1
     landing_point_ids: list[str] = field(default_factory=list)
 
-    @property
-    def affected_cable_ids(self) -> list[str]:
-        return sorted(cid for cid, exp in self.cable_exposure.items() if exp > 0)
-
     def to_dict(self) -> dict:
         return {
             "event_id": self.event_id,
@@ -74,10 +70,3 @@ def event_footprint(world: SyntheticWorld, event: DisasterEvent) -> EventFootpri
         if point_within_radius(lp.coord, event.center, event.radius_km)
     )
     return footprint
-
-
-def footprint_exposures(
-    world: SyntheticWorld, events: list[DisasterEvent]
-) -> dict[str, EventFootprint]:
-    """Footprints for a batch of events, keyed by event id."""
-    return {event.id: event_footprint(world, event) for event in events}

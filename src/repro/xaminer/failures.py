@@ -1,12 +1,8 @@
 """Failure simulation: from event footprints to concrete failure sets.
 
-Two modes, as in Xaminer:
-
-* **Sampled** — every exposed cable fails with probability
-  ``failure_probability * exposure`` (Bernoulli, seeded).  Used by
-  ``xaminer.process_event`` and the live plane's timelines.
-* **Expected** — deterministic per-cable failure *weights* equal to that
-  probability, for expectation-based impact without sampling noise.
+Every exposed cable fails with probability ``failure_probability *
+exposure`` (Bernoulli, seeded), as in Xaminer's sampled mode.  Used by
+``xaminer.process_event`` and the live plane's timelines.
 """
 
 from __future__ import annotations
@@ -67,16 +63,3 @@ def simulate_failures(
         failed_cable_ids=failed_cables,
         failed_link_ids=links_for_cables(world, failed_cables),
     )
-
-
-def expected_failure_weights(
-    footprint: EventFootprint, failure_probability: float = 1.0
-) -> dict[str, float]:
-    """Per-cable failure weights for expectation-based impact."""
-    if not 0.0 <= failure_probability <= 1.0:
-        raise ValueError("failure_probability must be within [0, 1]")
-    return {
-        cable_id: failure_probability
-        for cable_id, exposure in footprint.cable_exposure.items()
-        if exposure > 0
-    }

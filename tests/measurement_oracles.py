@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bgp.anomaly import RoutingAnomaly, _robust_zscores, update_rate_series
-from repro.bgp.messages import BGPUpdate
+from repro.bgp.anomaly import RoutingAnomaly, _robust_zscores
+from repro.bgp.messages import BGPUpdate, UpdateKind
 from repro.synth.geography import haversine_km
 from repro.synth.iplinks import cable_path_km
 from repro.synth.scenarios import LatencyIncident
@@ -254,6 +254,28 @@ def true_path_km(link, cables, landing_points) -> float:
 
 
 # -- BGP routing anomalies -------------------------------------------------------
+
+
+def update_rate_series(
+    updates: list[BGPUpdate], window_start: float, window_end: float, bin_seconds: float = 3600.0
+) -> list[dict]:
+    """Binned update volume: ``[{bin_start, count, withdrawals}]``."""
+    if bin_seconds <= 0:
+        raise ValueError("bin_seconds must be positive")
+    n_bins = max(1, int((window_end - window_start) / bin_seconds))
+    bins = [
+        {"bin_start": window_start + i * bin_seconds, "count": 0, "withdrawals": 0}
+        for i in range(n_bins)
+    ]
+    for update in updates:
+        idx = int((update.ts - window_start) / bin_seconds)
+        if update.ts == window_end:
+            idx = n_bins - 1  # the window is closed on the right
+        if 0 <= idx < n_bins:
+            bins[idx]["count"] += 1
+            if update.kind is UpdateKind.WITHDRAW:
+                bins[idx]["withdrawals"] += 1
+    return bins
 
 
 def detect_routing_anomalies(

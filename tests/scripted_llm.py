@@ -1,4 +1,4 @@
-"""Scripted LLM backend: canned completions for tests.
+"""Scripted LLM test double: canned completions in place of a backend.
 
 Feed it a list of reply strings; each ``complete`` call pops the next one.
 Useful for exercising parse-retry behaviour (malformed replies), agent

@@ -10,10 +10,11 @@ from repro.core.artifacts import (
     ExecutionOutcome,
     ProblemKind,
 )
-from repro.core.llm.scripted import ScriptedLLM
 from repro.core.llm.simulated import SimulatedLLM
 from repro.core.pipeline import build_data_context
 from repro.core.registry import default_registry
+
+from scripted_llm import ScriptedLLM
 
 CS1_QUERY = "Identify the impact at a country level due to SeaMeWe-5 cable failure"
 CS2_QUERY = ("Identify the impact of severe earthquakes and hurricanes globally "

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.changepoint import cusum_change_point
-from repro.analysis.correlate import count_in_window, onset_agreement, temporal_correlation
+from repro.analysis.correlate import temporal_correlation
 from repro.analysis.evidence import EvidenceItem, synthesize_evidence
 from repro.analysis.scoring import rank_suspects, score_gap
 from repro.analysis.stats import mad, median
@@ -55,19 +55,6 @@ def test_cusum_too_short():
 
 # -- correlation ---------------------------------------------------------------------
 
-def test_onset_agreement_perfect_and_decay():
-    perfect = onset_agreement(100.0, 100.0)
-    assert perfect["agreement"] == 1.0
-    half = onset_agreement(0.0, 3600.0, tolerance_s=7200.0)
-    assert half["agreement"] == pytest.approx(0.5)
-    assert onset_agreement(0.0, 10_000.0, tolerance_s=7200.0)["agrees"] is False
-
-
-def test_onset_agreement_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        onset_agreement(0.0, 1.0, tolerance_s=0.0)
-
-
 def test_temporal_correlation_aligned_series():
     a = [0.0] * 10 + [10.0] * 10
     result = temporal_correlation(a, list(a))
@@ -80,12 +67,6 @@ def test_temporal_correlation_lagged_series():
     lagged = base[3:] + [0.0] * 3
     result = temporal_correlation(lagged, base, max_lag=5)
     assert result["best_lag"] == 3
-
-
-def test_count_in_window():
-    assert count_in_window([1.0, 2.0, 3.0], 1.5, 3.5) == 2
-    with pytest.raises(ValueError):
-        count_in_window([], 5.0, 1.0)
 
 
 # -- scoring --------------------------------------------------------------------------

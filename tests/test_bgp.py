@@ -1,17 +1,17 @@
-"""BGP substrate: messages, RIB, collector, anomalies, API."""
+"""BGP substrate: messages, collector, anomalies, API."""
 
 import pytest
 
-from repro.bgp.anomaly import detect_update_anomalies, update_rate_series
 from repro.bgp.collector import BGPCollectorSim, CableIncident, CollectorConfig
 from repro.bgp.messages import BGPUpdate, UpdateKind, path_edit_distance
-from repro.bgp.rib import RoutingTable
 from repro.bgp.api import (
     correlate_updates_with_window,
     detect_routing_anomalies,
     fetch_updates,
     summarize_path_changes,
 )
+
+from measurement_oracles import update_rate_series
 
 DAY = 86_400.0
 
@@ -23,13 +23,6 @@ def test_update_roundtrip():
                        kind=UpdateKind.ANNOUNCE, prefix="10.0.0.0/24",
                        as_path=(1000, 1007, 1042))
     assert BGPUpdate.from_dict(update.to_dict()) == update
-    assert update.origin_asn == 1042
-
-
-def test_withdraw_has_no_origin():
-    update = BGPUpdate(ts=1.0, collector="c", peer_asn=1, kind=UpdateKind.WITHDRAW,
-                       prefix="10.0.0.0/24")
-    assert update.origin_asn is None
 
 
 def test_path_edit_distance():
@@ -39,48 +32,11 @@ def test_path_edit_distance():
     assert path_edit_distance((1, 2), (3, 4)) == 2
 
 
-# -- RIB -------------------------------------------------------------------------
-
-def test_rib_apply_and_withdraw():
-    table = RoutingTable(collector="c")
-    table.apply(BGPUpdate(1.0, "c", 7, UpdateKind.ANNOUNCE, "10.0.0.0/24", (7, 9)))
-    assert table.best_route("10.0.0.0/24").as_path == (7, 9)
-    table.apply(BGPUpdate(2.0, "c", 7, UpdateKind.WITHDRAW, "10.0.0.0/24"))
-    assert table.best_route("10.0.0.0/24") is None
-
-
-def test_rib_best_route_prefers_shorter_path():
-    table = RoutingTable(collector="c")
-    table.apply(BGPUpdate(1.0, "c", 7, UpdateKind.ANNOUNCE, "10.0.0.0/24", (7, 8, 9)))
-    table.apply(BGPUpdate(2.0, "c", 5, UpdateKind.ANNOUNCE, "10.0.0.0/24", (5, 9)))
-    assert table.best_route("10.0.0.0/24").peer_asn == 5
-
-
-def test_rib_rejects_wrong_collector_and_time_travel():
-    table = RoutingTable(collector="c")
-    with pytest.raises(ValueError):
-        table.apply(BGPUpdate(1.0, "other", 7, UpdateKind.ANNOUNCE, "10.0.0.0/24", (7,)))
-    table.apply(BGPUpdate(5.0, "c", 7, UpdateKind.ANNOUNCE, "10.0.0.0/24", (7,)))
-    with pytest.raises(ValueError):
-        table.apply(BGPUpdate(4.0, "c", 7, UpdateKind.WITHDRAW, "10.0.0.0/24"))
-
-
-def test_rib_diff_detects_changes():
-    before = RoutingTable(collector="c")
-    after = RoutingTable(collector="c")
-    before.apply(BGPUpdate(1.0, "c", 7, UpdateKind.ANNOUNCE, "10.0.0.0/24", (7, 9)))
-    before.apply(BGPUpdate(1.0, "c", 7, UpdateKind.ANNOUNCE, "10.0.1.0/24", (7, 8)))
-    after.apply(BGPUpdate(9.0, "c", 7, UpdateKind.ANNOUNCE, "10.0.0.0/24", (7, 5, 9)))
-    diff = before.diff(after)
-    assert diff["lost_prefixes"] == ["10.0.1.0/24"]
-    assert diff["changed_paths"][0]["length_delta"] == 1
-
-
 # -- collector ---------------------------------------------------------------------
 
 def test_collector_baseline_covers_reachable_prefixes(world):
     sim = BGPCollectorSim(world, CollectorConfig(peer_count=4))
-    routes = sim.baseline_routes()
+    routes = sim.routes_under(frozenset())
     assert routes
     for (peer, prefix), path in list(routes.items())[:50]:
         assert path[0] == peer
@@ -181,8 +137,6 @@ def test_routes_under_failure_differs_and_is_memoized(world):
     degraded = sim.routes_under(dead)
     assert baseline and degraded != baseline
     assert sim.routes_under(dead) is degraded  # memoized per failure set
-    assert sim.baseline_routes() == baseline
-    assert sim.baseline_routes() is not baseline  # callers get a copy
 
 
 def test_delta_updates_symmetric_cut_and_heal(world):

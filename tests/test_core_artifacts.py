@@ -49,9 +49,6 @@ def test_analysis_roundtrip():
 
 def test_analysis_accessors():
     analysis = _analysis()
-    assert analysis.sub_problem("sp2").depends_on == ["sp1"]
-    with pytest.raises(KeyError):
-        analysis.sub_problem("nope")
     assert [c.description for c in analysis.blocking_constraints()] == ["c"]
 
 

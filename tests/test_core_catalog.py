@@ -6,7 +6,6 @@ from repro.core.catalog import (
     CatalogError,
     MeasurementContext,
     ToolCatalog,
-    build_catalog,
     composite_placeholder,
     resolve_callable,
 )
@@ -49,8 +48,8 @@ def test_catalog_call_bad_kwargs(catalog):
 
 
 def test_catalog_injects_incidents(world, registry, incident):
-    quiet = build_catalog(registry, world)
-    noisy = build_catalog(registry, world, incidents=[incident])
+    quiet = ToolCatalog(registry, MeasurementContext(world=world))
+    noisy = ToolCatalog(registry, MeasurementContext(world=world, incidents=[incident]))
     rows_quiet = quiet.call("bgp.fetch_updates", window_start=0.0,
                             window_end=604_800.0)
     rows_noisy = noisy.call("bgp.fetch_updates", window_start=0.0,
@@ -59,10 +58,10 @@ def test_catalog_injects_incidents(world, registry, incident):
 
 
 def test_caller_can_override_incidents(world, registry, incident):
-    noisy = build_catalog(registry, world, incidents=[incident])
+    noisy = ToolCatalog(registry, MeasurementContext(world=world, incidents=[incident]))
     rows = noisy.call("bgp.fetch_updates", window_start=0.0,
                       window_end=604_800.0, incidents=[])
-    baseline = build_catalog(registry, world).call(
+    baseline = ToolCatalog(registry, MeasurementContext(world=world)).call(
         "bgp.fetch_updates", window_start=0.0, window_end=604_800.0
     )
     assert len(rows) == len(baseline)

@@ -1,17 +1,15 @@
-"""Evaluation harness: overlap scoring, similarity metrics, reporting."""
+"""Evaluation harness: overlap scoring and similarity metrics."""
 
 import pytest
 
 from repro.core.artifacts import CandidateWorkflow, StepType, WorkflowDesign, WorkflowStep
-from repro.evalharness.similarity import ranking_similarity, relative_error, top_k_overlap
+from repro.evalharness.similarity import ranking_similarity, top_k_overlap
 from repro.evalharness.stagekinds import (
     TARGET_STAGE_KINDS,
     design_stage_kinds,
     jaccard,
     overlap_report,
 )
-from repro.evalharness.report import _fmt, failed_checks, format_report_table
-from repro.evalharness.casestudies import CaseStudyReport
 
 
 def _design(*targets):
@@ -87,19 +85,3 @@ def test_top_k_overlap():
     with pytest.raises(ValueError):
         top_k_overlap(a, b, k=0)
 
-
-def test_relative_error():
-    assert relative_error(0.0, 0.0) == 0.0
-    assert relative_error(10.0, 5.0) == pytest.approx(0.5)
-
-
-def test_format_report_table_and_failed_checks():
-    report = CaseStudyReport(case=9, query="test query")
-    report.metrics = {"value_metric": 1.2345, "list_metric": ["a", "b"]}
-    report.checks = {"good": True, "bad": False}
-    table = format_report_table([report])
-    assert "case 9" in table
-    assert "1.2345" in table
-    assert "FAIL" in table
-    assert failed_checks([report]) == ["case9:bad"]
-    assert _fmt([]) == "(none)"

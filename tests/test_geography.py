@@ -8,13 +8,10 @@ from repro.synth.geography import (
     COASTAL_CITIES,
     COUNTRIES,
     Region,
-    all_country_codes,
     city_by_name,
-    countries_in_region,
     country_by_code,
     haversine_km,
     interpolate,
-    path_length_km,
     point_within_radius,
 )
 
@@ -36,11 +33,11 @@ def test_country_lookup_unknown_raises():
 
 def test_every_region_has_countries():
     for region in Region:
-        assert countries_in_region(region), f"region {region} is empty"
+        assert any(c.region == region for c in COUNTRIES), f"region {region} is empty"
 
 
 def test_coastal_cities_reference_known_countries():
-    codes = set(all_country_codes())
+    codes = {c.code for c in COUNTRIES}
     for city in COASTAL_CITIES:
         assert city.country_code in codes
 
@@ -74,19 +71,6 @@ def test_haversine_symmetry():
 def test_haversine_antipodal_bounded_by_half_circumference():
     distance = haversine_km((0.0, 0.0), (0.0, 180.0))
     assert distance == pytest.approx(math.pi * 6371.0, rel=1e-3)
-
-
-def test_path_length_sums_segments():
-    points = [(0.0, 0.0), (0.0, 1.0), (0.0, 2.0)]
-    total = path_length_km(points)
-    assert total == pytest.approx(
-        haversine_km(points[0], points[1]) + haversine_km(points[1], points[2])
-    )
-
-
-def test_path_length_degenerate():
-    assert path_length_km([]) == 0.0
-    assert path_length_km([(1.0, 1.0)]) == 0.0
 
 
 def test_point_within_radius():

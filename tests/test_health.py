@@ -53,6 +53,10 @@ def _engine(registry, specs, clock, **kwargs) -> SloEngine:
     return SloEngine(registry, specs=specs, clock=clock, **kwargs)
 
 
+def _url(server: ObsServer, path: str) -> str:
+    return f"http://{server.host}:{server.port}{path}"
+
+
 def _get(url: str):
     """(status, parsed-or-text body) for a GET, treating HTTP errors as data."""
     try:
@@ -363,23 +367,23 @@ def test_obs_server_endpoints_roundtrip(tmp_path):
                    flight=flight) as server:
         assert server.port != 0
 
-        status, text = _get(server.url("/metrics"))
+        status, text = _get(_url(server, "/metrics"))
         assert status == 200
         assert 'jobs_total{state="done"} 2' in text
 
-        status, verdict = _get(server.url("/healthz"))
+        status, verdict = _get(_url(server, "/healthz"))
         assert status == 200 and verdict["healthy"] and verdict["engine"]
         assert {s["name"] for s in verdict["slos"]} == {"g"}
 
-        status, payload = _get(server.url("/debug/flight"))
+        status, payload = _get(_url(server, "/debug/flight"))
         assert status == 200
         assert os.path.exists(payload["path"])
         assert payload["dump"]["reason"] == "debug_http"
 
-        status, payload = _get(server.url("/debug/broker"))
+        status, payload = _get(_url(server, "/debug/broker"))
         assert status == 503  # no broker attached
 
-        status, payload = _get(server.url("/nope"))
+        status, payload = _get(_url(server, "/nope"))
         assert status == 404 and "/healthz" in payload["endpoints"]
 
 
@@ -395,7 +399,7 @@ def test_obs_server_healthz_returns_503_on_breach():
         engine.evaluate()
         clock.tick()
     with ObsServer(port=0, registry=registry, health=engine) as server:
-        status, verdict = _get(server.url("/healthz"))
+        status, verdict = _get(_url(server, "/healthz"))
         assert status == 503 and not verdict["healthy"]
         breached = [s for s in verdict["slos"] if not s["healthy"]]
         assert [s["name"] for s in breached] == ["g"]
@@ -403,11 +407,11 @@ def test_obs_server_healthz_returns_503_on_breach():
 
 def test_obs_server_without_components_degrades_cleanly():
     with ObsServer(port=0) as server:
-        assert _get(server.url("/metrics"))[0] == 404
-        status, verdict = _get(server.url("/healthz"))
+        assert _get(_url(server, "/metrics"))[0] == 404
+        status, verdict = _get(_url(server, "/healthz"))
         assert status == 200 and verdict == {"healthy": True, "engine": False,
                                              "slos": []}
-        assert _get(server.url("/debug/flight"))[0] == 503
+        assert _get(_url(server, "/debug/flight"))[0] == 503
 
 
 def test_obs_server_debug_broker_serves_scheduler_depths(small_world):
@@ -415,7 +419,7 @@ def test_obs_server_debug_broker_serves_scheduler_depths(small_world):
     try:
         with ObsServer(port=0, registry=broker.metrics,
                        broker=broker) as server:
-            status, stats = _get(server.url("/debug/broker"))
+            status, stats = _get(_url(server, "/debug/broker"))
             assert status == 200
             assert "queued_by_priority" in stats["scheduler"]
             assert stats["workers"] == 1

@@ -244,7 +244,8 @@ def test_sync_metrics_is_idempotent_across_scrapes(world, catalog_failure_sets):
     for failure_set in catalog_failure_sets[:3]:
         sim.routes_under(failure_set)
     registry = MetricsRegistry()
-    sim.attach_metrics(registry, {"world": "t"})
+    # A scrape-time collector, registered as QueryBroker._refresh_routing is.
+    registry.register_collector(lambda reg: sim.sync_metrics(reg, {"world": "t"}))
     text = registry.prometheus_text()
     assert 'routing_misses_total{world="t"}' in text
     misses = registry.counter("routing_misses_total", {"world": "t"}).value

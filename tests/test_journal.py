@@ -592,7 +592,8 @@ def test_debug_deadletter_endpoint(world, tmp_path):
     broker.deadletter.quarantine("default", CS1, crashes=2, worker_slots=[0])
     server = ObsServer(port=0, broker=broker).start()
     try:
-        with urllib.request.urlopen(server.url("/debug/deadletter")) as resp:
+        url = f"http://{server.host}:{server.port}/debug/deadletter"
+        with urllib.request.urlopen(url) as resp:
             doc = json.loads(resp.read())
         assert doc["depth"] == 1
         assert doc["entries"][0]["query"] == CS1

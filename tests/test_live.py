@@ -123,15 +123,12 @@ def test_bus_fanout_and_isolation():
     assert bus.publish("nobody-listens", "x") == 0
 
 
-def test_bus_unsubscribe_and_pop():
+def test_bus_pop():
     bus = EventBus()
     sub = bus.subscribe("t")
     bus.publish("t", "a")
     assert sub.pop() == "a"
     assert sub.pop() is None
-    bus.unsubscribe(sub)
-    bus.publish("t", "b")
-    assert len(sub) == 0 and sub.closed
 
 
 # -- streaming changepoint ---------------------------------------------------
@@ -550,7 +547,8 @@ def test_bgp_feed_publishes_route_delta_summaries(world):
     assert heal["route_delta"]["changed"] > 0  # repairs re-announce routes
     stats = feed.delta_stream.stats()
     assert stats["deltas_emitted"] == 2  # cut + heal, never the steady epochs
-    assert feed.delta_stream.position == frozenset()  # healed back to baseline
+    # healed back to baseline: nothing is left to diff against it
+    assert feed.delta_stream.advance(frozenset()).route_count == 0
 
 
 def test_standing_manager_reports_attached_delta_stream(world):

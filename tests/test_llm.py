@@ -12,10 +12,11 @@ from repro.core.llm.client import (
 )
 from repro.core.llm.knowledge import detect_intent, extract_entities, find_entry
 from repro.core.llm.prompts import querymind_prompt, section, section_json
-from repro.core.llm.scripted import ScriptedLLM
 from repro.core.llm.simulated import SimulatedLLM
 from repro.core.pipeline import build_data_context
 from repro.core.registry import default_registry
+
+from scripted_llm import ScriptedLLM
 
 
 # -- JSON extraction ------------------------------------------------------------
@@ -186,4 +187,5 @@ def test_simulated_llm_fail_first_attempts(world):
     request = LLMRequest(agent="querymind", system="s", user=prompt)
     payload = complete_json(llm, request, max_attempts=3)
     assert payload["intent"] == "cable_failure_impact"
-    assert llm.call_count == 2
+    with pytest.raises(LLMParseError):  # the garbled first attempt alone fails
+        complete_json(SimulatedLLM(fail_first_attempts=1), request, max_attempts=1)

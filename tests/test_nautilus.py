@@ -4,23 +4,15 @@ import pytest
 
 from repro.nautilus.dependencies import (
     cables_between_regions,
-    cables_touching_country,
     extract_cable_dependencies,
 )
 from repro.nautilus.geolocation import Geolocator
 from repro.nautilus.mapping import CrossLayerMapper, observed_link_rtt_ms
-from repro.nautilus.sol import (
-    FIBER_SPEED_KM_PER_MS,
-    max_distance_km,
-    min_rtt_ms,
-    path_feasible,
-    sol_compatible,
-)
+from repro.nautilus.sol import FIBER_SPEED_KM_PER_MS, min_rtt_ms
 from repro.nautilus.api import (
     geolocate_ips,
     get_cable_dependencies,
     get_cable_info,
-    get_landing_points,
     list_cables,
     map_ip_links_to_cables,
     sol_validate_link,
@@ -66,31 +58,13 @@ def test_min_rtt_scales_linearly():
     assert min_rtt_ms(2000) == pytest.approx(2 * min_rtt_ms(1000))
 
 
-def test_min_rtt_roundtrip_with_max_distance():
-    rtt = min_rtt_ms(5000.0)
-    assert max_distance_km(rtt) == pytest.approx(5000.0)
-
-
 def test_fiber_slower_than_vacuum():
     assert FIBER_SPEED_KM_PER_MS < 299.8
-
-
-def test_sol_compatible_rejects_impossible():
-    # 1 ms RTT across 10,000 km is physically impossible.
-    assert not sol_compatible(1.0, 10_000.0)
-    assert sol_compatible(120.0, 10_000.0)
-
-
-def test_path_feasible():
-    assert path_feasible(100.0, 5000.0)
-    assert not path_feasible(10.0, 5000.0)
 
 
 def test_negative_inputs_rejected():
     with pytest.raises(ValueError):
         min_rtt_ms(-1)
-    with pytest.raises(ValueError):
-        max_distance_km(-1)
 
 
 # -- mapping -------------------------------------------------------------------
@@ -156,12 +130,6 @@ def test_inferred_dependencies_high_recall(world):
     assert recall >= 0.8
 
 
-def test_cables_touching_country(world):
-    touching = cables_touching_country(world, "FR")
-    assert "cable-seamewe-5" in touching
-    assert "cable-paclight" not in touching
-
-
 def test_cables_between_regions(world):
     corridor = cables_between_regions(world, Region.EUROPE, Region.ASIA)
     names = {world.cables[cid].name for cid in corridor}
@@ -187,7 +155,6 @@ def test_get_cable_info_structure(world):
     assert info["name"] == "SeaMeWe-5"
     assert len(info["landing_points"]) == 14
     assert len(info["segments"]) == 13
-    assert get_landing_points(world, "SeaMeWe-5") == info["landing_points"]
 
 
 def test_map_ip_links_rows_enriched(world):

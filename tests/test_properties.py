@@ -14,7 +14,7 @@ from repro.bgp.anomaly import _robust_zscores as robust_zscores
 from repro.bgp.messages import path_edit_distance
 from repro.core.artifacts import CandidateWorkflow, StepType, WorkflowStep
 from repro.core.workflow import WorkflowValidationError, topological_order
-from repro.nautilus.sol import max_distance_km, min_rtt_ms
+from repro.nautilus.sol import min_rtt_ms
 from repro.synth.geography import haversine_km, interpolate
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -47,12 +47,6 @@ def test_interpolate_stays_in_bounding_box(a, b, fraction):
 
 
 # -- speed of light -----------------------------------------------------------------
-
-@given(st.floats(min_value=0.0, max_value=1e5))
-def test_sol_roundtrip(distance):
-    assert math.isclose(max_distance_km(min_rtt_ms(distance)), distance,
-                        rel_tol=1e-9, abs_tol=1e-9)
-
 
 @given(st.floats(min_value=0.0, max_value=1e5),
        st.floats(min_value=0.0, max_value=1e5))

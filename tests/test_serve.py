@@ -447,8 +447,6 @@ def test_run_campaign_aggregates(world):
     assert report.top_countries, "cross-scenario aggregation produced no rows"
     assert {"country", "appearances", "mean_score"} <= set(report.top_countries[0])
     assert len(report.outcomes) == 6
-    rows = report.summary_rows()
-    assert any("jobs" in str(k) for k, _ in rows)
 
 
 def test_campaign_resubmission_is_mostly_cache_hits(world):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.xaminer.aggregate import as_impact_embeddings, country_impact_embeddings, rank_countries
 from repro.xaminer.events import event_footprint
-from repro.xaminer.failures import expected_failure_weights, links_for_cables, simulate_failures
+from repro.xaminer.failures import links_for_cables, simulate_failures
 from repro.xaminer.impact import compute_impact
 from repro.xaminer.risk import country_risk_profile, most_exposed_countries
 from repro.xaminer.api import (
@@ -97,8 +97,6 @@ def test_invalid_probability_rejected(world):
     footprint = event_footprint(world, event)
     with pytest.raises(ValueError):
         simulate_failures(world, footprint, 1.5)
-    with pytest.raises(ValueError):
-        expected_failure_weights(footprint, -0.1)
 
 
 def test_links_for_cables_sorted_unique(world):
