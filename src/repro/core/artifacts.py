@@ -478,16 +478,21 @@ class PipelineResult:
             "stage_trace": [s.to_dict() for s in self.stage_trace],
         }
 
-    def artifact_digest(self) -> str:
-        """Root content hash over the artifacts alone — every deterministic
-        output, excluding the stage trace (whose durations and cache-hit
-        flags vary by run and by execution backend).  Step outputs enter
-        as their :meth:`ExecutionOutcome.step_refs` digests, so a step held
-        as a :class:`StepRef` hashes like its value and a drift can be
-        traced to the step.  Two runs of the same job through any backend
-        must produce the same digest."""
-        material = self.to_dict()
-        material.pop("stage_trace")
+    def answer_digest(self) -> str:
+        """Content hash of what the run says: the query, problem analysis,
+        workflow design, execution outcome (``final``, ``quality_report``
+        and one digest per step) and curator report — everything the root
+        covers except the generated source.  Step outputs enter as their
+        :meth:`ExecutionOutcome.step_refs` digests, so a step held as a
+        :class:`StepRef` hashes like its value and a drift can be traced
+        to the step."""
+        material = {
+            "query": self.query,
+            "analysis": self.analysis.to_dict(),
+            "design": self.design.to_dict(),
+            "execution": self.execution.to_dict(),
+            "curator": self.curator.to_dict() if self.curator else None,
+        }
         refs = self.execution.step_refs()
         if refs is not None:
             material["execution"]["outputs"] = {
@@ -495,3 +500,20 @@ class PipelineResult:
                 "results": {sid: ref.digest for sid, ref in refs.items()},
             }
         return hashlib.sha256(canonical_json(material).encode("utf-8")).hexdigest()
+
+    def code_digest(self) -> str:
+        """Content hash of the generated solution: its source and the
+        fields derived from it.  A template rewrite moves this digest and
+        leaves :meth:`answer_digest` alone."""
+        return hashlib.sha256(
+            canonical_json(self.solution.to_dict()).encode("utf-8")
+        ).hexdigest()
+
+    def artifact_digest(self) -> str:
+        """Root content hash over the artifacts alone: the sha256 of
+        :meth:`answer_digest` and :meth:`code_digest`.  The stage trace is
+        left out, since its durations and cache-hit flags vary by run and
+        by execution backend.  Two runs of the same job through any
+        backend must produce the same digest."""
+        pair = self.answer_digest() + self.code_digest()
+        return hashlib.sha256(pair.encode("ascii")).hexdigest()

@@ -270,14 +270,13 @@ def test_bulk_steps_cross_the_process_boundary_as_refs(golden_world, monkeypatch
     whole, root digests agree with the thread backend and the goldens, and
     every reply for the four case queries and the 26-job campaign stays
     under 64 KiB."""
-    from tests.test_golden import GOLDEN_CAMPAIGN_DIGESTS, GOLDEN_CASE_DIGESTS
+    from tests.test_golden import golden_roots
 
     cases = [(f"case:{case}", CASE_QUERIES[case], "case4" if case == 4 else "default")
              for case in sorted(CASE_QUERIES)]
     campaign = [(job.tag, job.query, "default") for job in
                 CampaignSpec.for_world(golden_world, cascades=True).expand()]
-    golden = {**{f"case:{c}": d for c, d in GOLDEN_CASE_DIGESTS.items()},
-              **GOLDEN_CAMPAIGN_DIGESTS}
+    golden = golden_roots()
     replies = []
     handle = ProcessPoolBackend._handle_reply
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.artifacts import PipelineResult
 from repro.core.llm.knowledge import detect_intent
 from repro.live import (
     ALERTS_TOPIC,
@@ -475,9 +476,20 @@ def test_live_replay_forensics_disabled_is_empty(world):
     assert report.forensic_stats == {}
 
 
-def test_live_replay_multi_event_one_case_per_incident(world):
+def test_live_replay_multi_event_one_case_per_incident(world, monkeypatch):
     """Two overlapping disasters: each yields exactly one completed case
     attributed to the right ground-truth event."""
+    # Each case journals its root; remember the answer and code digests
+    # behind every root the replay takes.
+    pins = {}
+    root_of = PipelineResult.artifact_digest
+
+    def recorded(result):
+        root = root_of(result)
+        pins[root] = (result.answer_digest(), result.code_digest())
+        return root
+
+    monkeypatch.setattr(PipelineResult, "artifact_digest", recorded)
     events = overlapping_catalog_timeline(world, count=2)
     config = LiveConfig(epochs=16, workers=2, forensics=True)
     report = run_live_replay(world=world, timeline_events=events, config=config)
@@ -490,13 +502,15 @@ def test_live_replay_multi_event_one_case_per_incident(world):
         assert case["alert_latency_epochs"] >= 0
     # Golden pins: the replay's answers, not just their agreement.
     assert sorted(
-        (c["event_id"], c["verdict"], c["artifact_digest"])
+        (c["event_id"], c["verdict"], *pins[c["artifact_digest"]])
         for c in report.forensic_cases
     ) == [
         ("eq-izmit-2026", "confirmed",
-         "fe9ffd2b7c843958a49a1379d55e667e8894946aff715679a66334b0caf8b7b1"),
+         "cb93f31e359011083cd1152d03716173749171938cd1a1c1e54211fa3e555186",
+         "abf8fe57139ba19d08ff121ef8d49b8d840135f6c4a5e8e4784485cf7ae3110b"),
         ("eq-taiwan-2026", "confirmed",
-         "2ae06d916006b4747b9af56791688512659a16fc20e76b81d376dcffbcfae96a"),
+         "c416c3d7a57b980f0f38a17f9dfe3f93f8ecd845a4da83eadea3c6d1badf408d",
+         "2e0d9b102cfd269f60a6d5c6a63df33412d21b78eec2bf7f2b58ca5ea1919e0f"),
     ]
 
 

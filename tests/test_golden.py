@@ -4,58 +4,105 @@ Cross-backend and cross-cache tests prove that two execution paths agree
 with each other; these pins prove that neither has drifted from the
 committed answer.  A change that moves a digest must say so and justify it.
 
-Each root digest covers a result's small fields plus one sha256 per step
-output; two workflows also pin their step map, so a drift there names
-the step before the root reports that the answer changed.
+Each run is pinned twice.  The answer digest covers a result's small
+fields plus one sha256 per step output; the code digest covers the
+generated solution.  The root ``artifact_digest()`` that cross-backend,
+cache and resume identity compare is the sha256 of the two, so a
+template rewrite moves code pins and never an answer pin.  Two workflows
+also pin their step map, so a drift there names the step before the
+answer digest reports that the answer changed.
 """
+
+import hashlib
 
 import pytest
 
+from repro.core import codegen
 from repro.core.pipeline import ArachNet
 from repro.evalharness.casestudies import CASE_QUERIES
 from repro.serve.campaign import CampaignSpec
 from repro.synth.scenarios import make_latency_incident
 from repro.synth.world import WorldConfig, build_world
 
-GOLDEN_CASE_DIGESTS = {
-    1: "efe63a8e2c04a08963135f538967ed091addc53179d33eaccf1edc0d1ec98925",
-    2: "e88c1ddaf2efd86a684e57bf25131ba776a884fd8e743b55f101bd8136f6354f",
-    3: "3cb980bbb27ba2af6e2ac683b195f358c5bcc4eb933a46f4c6f9b7f00c8888ee",
-    4: "efca5c928ea5a864e0b5af45912504927c08ee11573209fdd4cd497b9feb5364",
+# Answer digests: what each query's run says (analysis, design, step
+# digests, final, quality report).  A moved answer pin is an answer change.
+GOLDEN_CASE_ANSWER_DIGESTS = {
+    1: "cf513e5f24ff5db00d208dbfc8a53236155165fe3f0e4b25eef902f4e080a4c5",
+    2: "09109b7d5dbd4866a5777c1f65225a2f55f8be533a41281531baaba5c1ed257c",
+    3: "c8b07fcca033240d3c3d3a4a95ad3e6bf97b9faf11f2ca14f9b6c4f16ca91f49",
+    4: "2205f269594a17ec69292a7e70d162d199c8568692c07965660f69cec9750c74",
+}
+
+# Code digests: the generated solution each query ran.  A template rewrite
+# moves these and no answer pin.
+GOLDEN_CASE_CODE_DIGESTS = {
+    1: "c311f5127201216c6315035e1dd7878bda7bd012d9d3473f3fe08ae237bd31e3",
+    2: "319db2d3547de23c4f7e30abc28f1496f49a293f2b656a07cc9ddc0e9084ec8e",
+    3: "a4478c2538fbd1e4b6509e79db0292b5ffdf82f47c2bce3bd69895d414e1a134",
+    4: "32d1a0e05c1adf3bef054d2fed367a5ad941df250ae1f9c461acc81f1813737c",
 }
 
 # The seeded scenario matrix the campaign benchmark serves: every cable's
 # impact query, both disaster kinds and the Europe-Asia cascade.
-GOLDEN_CAMPAIGN_DIGESTS = {
-    "cable:AAE-1": "08209dc63e7c4a35ed8a2068d5b3cbdedbaa3a5c46dbe76475494e230118996c",
-    "cable:APG": "654d0e0eff1b2d1c4813306c6b16caabf5f70032f64d34906c6166be3ce49d2a",
-    "cable:ASE": "5c253de37a64466045a40dba22964729f4b47b84db222e0d5ce147799d683f70",
-    "cable:AmericasCrossing": "26044010cace2a6ef8d24c1eeee8c99cdd85d3ca15db87d4143831e1b34993bf",
-    "cable:Amitie-X": "225bf76b8aae7b1758272d0bf38ae0bb53dbdbf52f7be6fe5d64e2347295e2ce",
-    "cable:Atlantica-1": "d33d5848c3bd28dacf850edcb0e4266f12b5a7623e66dcf24ea3142a2c8c8e92",
-    "cable:EASSy-2": "3318949f3b7d6a712d78c2abf22c582e5bbc147e6bc52d643d35338d074d90a0",
-    "cable:EIG": "1c16734c51fd245a56bb9276d260ed287d740edff5affa5309076a17669e9d55",
-    "cable:FALCON": "2f5684bcd1ce6e2886251a13292d0265eee17a0d5f42019b3a274e41ab19f3d3",
-    "cable:Hawk-3": "4d8b9367c1dcbac34d3c1c2cd56ed830e4846335c083a2e00cda413d0607b2cc",
-    "cable:Hibernia-N": "ea771e438536d16b4a77c3060e95bcc7834ef131517ba6fd51e248ea3dd9bdc3",
-    "cable:IMEWE": "6f2a5c4675746c55796dde9d71d9fbbd370e17e252f5db83983b5d7e3b31df20",
-    "cable:MedLoop": "6de4e1e35ed7262010f5a4c6e7a45146c861e4aae25dad9adcf9c801cab588d6",
-    "cable:Monet-S": "ba52463f341714cc0c265ce018275f2276fa08ab158a970af164f70aa5633578",
-    "cable:OMR-West": "091923981a90713922605f53adc61f0b19615376006ca32a457b5359e622911d",
-    "cable:PacLight": "f83ac32c3f9551690a2b93ad91c4c4cdbde91cac7a9d8a2b3560516e455f871f",
-    "cable:SAFE-X": "95810a65c6fef862545f70ea8b83f78b31d2d81caeaf2eb5913b2ab524986f30",
-    "cable:SJC": "76c8cade4b5b30a9d986ceb4989f7f06439d47583951d149b8818bf4618b8019",
-    "cable:SeaMeWe-4": "5aeb3b278a800e1f099576bc405f065835e55208ce91405eb05e6c1a96c51407",
-    "cable:SeaMeWe-5": "efe63a8e2c04a08963135f538967ed091addc53179d33eaccf1edc0d1ec98925",
-    "cable:SouthernCross-X": "bf8fdab73ca6f26e16f648e20f41fa7dbd2a5ee094e6358c53a3fc5cced1c7f5",
-    "cable:TransPac-N": "e4d7cf106076946b59984d379dcad24a2d43c73b1d537c18a4a3031d9b9ccda3",
-    "cable:WACS-2": "e19d2022e0a08f044967b5e11eac8cc870a21fa0d6fee41d5c38f226c39bfe75",
-    "disaster:earthquake": "3bd28138e44740a7eec62900d50be3a149b62915e0a6d5cb4887d7888cd5b2ea",
-    "disaster:hurricane": "bba85f1dc7fca08dc0432a0dbcba5b99fa58bd118b3f28e562110ab1a59aab54",
-    "cascade:Europe-Asia": "3cb980bbb27ba2af6e2ac683b195f358c5bcc4eb933a46f4c6f9b7f00c8888ee",
+GOLDEN_CAMPAIGN_ANSWER_DIGESTS = {
+    "cable:AAE-1": "e8dff0cf05d79c3000686d4b2c56fb832b99c968b153155f0d4a74ad3bea7700",
+    "cable:APG": "643c109ff6c9611922824b3af0d3b111cfc6c94d5b7ca54db45b8987574a1650",
+    "cable:ASE": "91ebfa9ca77dbb80d774c7f266a3b05bf70819c67358599c3719117486a32cfe",
+    "cable:AmericasCrossing": "0e70800d8e33e29d768749a1ffe63b9dbedcc55ae67bba1dfa9fdc62265cf1ff",
+    "cable:Amitie-X": "ec89180bed32dc6031408503f66a8689ef1cd0628ce13c7067f92eda29991a71",
+    "cable:Atlantica-1": "9d3316f5d25f506641a88ce35b3361d0ef01d12519b38b583e13d3dcc8d4bd5c",
+    "cable:EASSy-2": "f19ee05e179eb6df58df0cc916c74fd428de6704f2ff08d9325fc768f602ed16",
+    "cable:EIG": "f0026257b61a49ab9a2d2bb24e8ba5be024b16bfc19fd3265257edca86d31522",
+    "cable:FALCON": "c2c6ff8bdaf4efe21ebb5fbc562dfdfa3b73f9e359d45e6cda015440a4948a3b",
+    "cable:Hawk-3": "46af375265b948b117640546d8f3657c2513b9fd1cb4fccfa689f36764355fb7",
+    "cable:Hibernia-N": "fdd3526e8f7a7d8f1d0bde5026d2fe441acaebee87e6326bad90f60864ffc8ac",
+    "cable:IMEWE": "bd89ed38a43aac99fca2a22cc3393f23dfc1c5b9dd6ae3a6650f1fa52f373e71",
+    "cable:MedLoop": "da6a28117ff68e5981c72c23c89b5617d6c8a32f43a177c1dde0ee133b0775fa",
+    "cable:Monet-S": "1f7fae11bb1ba92e08030a6744c460b6768ab0f16edab647946679698011fdab",
+    "cable:OMR-West": "ea4e2fef3606ec9c43406d2d6aa1f9901fda15e288f0e13b948e2e5a20938241",
+    "cable:PacLight": "6e87338382af3df6c13c078be930029c46856c8ac967185f02f8078902c0d095",
+    "cable:SAFE-X": "c7165de4d60f53077a843d5f7d3b9b9e27a0bf792ab32a4340a16142aa9a74cc",
+    "cable:SJC": "e3eab8dadd7f33effb87d4f675f698612160efcda534315cb5c041ef058abe0a",
+    "cable:SeaMeWe-4": "86f0c428e0a5fbc28bcc1ec5cdffa901671da78e6ede3788764f84b4e18fc0c8",
+    "cable:SeaMeWe-5": "cf513e5f24ff5db00d208dbfc8a53236155165fe3f0e4b25eef902f4e080a4c5",
+    "cable:SouthernCross-X": "60bdea4c825d97d272aa0dfeea3aa406e2a22545cdee8917a1c3fe82d5a8be37",
+    "cable:TransPac-N": "46e0a06abdb2a7351b2dac6f0f154b3a35a5047d153e6f560acd365c684ca532",
+    "cable:WACS-2": "a9f18724f679fc76eb67e083182fdec6aca519e3258d1640ba6a2fac1a6e713e",
+    "disaster:earthquake": "592920ab481ad706fb7227ce806647d4220076886358eb6100fad7635c31dc08",
+    "disaster:hurricane": "4c4a1559b4955c3623c04aaf0775ab0c5cffe9035e7763f30c739fb4eea534de",
+    "cascade:Europe-Asia": "c8b07fcca033240d3c3d3a4a95ad3e6bf97b9faf11f2ca14f9b6c4f16ca91f49",
 }
 
-# Step digests behind two of the roots above (sha256 of each step output's
+GOLDEN_CAMPAIGN_CODE_DIGESTS = {
+    "cable:AAE-1": "250f7d4103f499d5ca2a3e608c0b5049f31cfd66f6aed788909c84623e0a06d9",
+    "cable:APG": "fda8d0134dd740da17df9c6b42865cd58c247c7e390feca41ffb67116c03907f",
+    "cable:ASE": "e7814ee11d6342ec9be24828486c38ff6c4c53b504ae58c422b61298a5398367",
+    "cable:AmericasCrossing": "af30f9a4a9fa8d1163c344c3f4b6d5b0888ed18f486913ab79f8ff29b436e7ae",
+    "cable:Amitie-X": "b901e0a13e015986b3679fbd0f2d64397cf09e3571da5be833c21f7ed044d040",
+    "cable:Atlantica-1": "dc0ec4c6b2d22d40fea15ce86da02a92cb5d00f10c90d1c943769c784eef0e30",
+    "cable:EASSy-2": "54059adc29d52d422d5a686b92f4a278b224c54d4c162266b16e15ea20214bfb",
+    "cable:EIG": "1f3cc6e79d3ac940ccc8b7eb17e8e03a90958af994fe116f9d4504634db42de5",
+    "cable:FALCON": "822a45d1b68f7ec9ec32165d413f5ed2a4c5e8873f101ae0fe6b2a047ba840f7",
+    "cable:Hawk-3": "6b68b7c925c1f0321dd8ecef7c2ba248f39330667ab2a510cbb9be14bfae61d2",
+    "cable:Hibernia-N": "769cd85a7efcaa033ced96c2f1a4ed258cf2ad89d584ac477f321606c0eb197a",
+    "cable:IMEWE": "ddeaf02b9fb256dd5fd1c599285b20e97f978f7b63c2eeb038bf6b024128c8c2",
+    "cable:MedLoop": "3ef8c2ce9929b560decb0182a7edeac12c564704a4970cbe98c7386243e2ee76",
+    "cable:Monet-S": "be297ce741a35a3f7061fd39c4b72c65a7707d020a809f7dd6c04b046a726504",
+    "cable:OMR-West": "ca06f5fd9acf2d6f2140970393cacc7854e8d34f941de5a0a890caa591b073c5",
+    "cable:PacLight": "93d39d49641c9fc5d79388cd69210586d2ff44013cbba3151393515f8ce4a568",
+    "cable:SAFE-X": "b448564fd1d243366911451238dfc0a12393878e110c762ce382a0a485c57fc8",
+    "cable:SJC": "8c5680c4a57293a85b20b6d670cd801f46c22ef99eb7dbc6a89d568c4ad6d953",
+    "cable:SeaMeWe-4": "536415ada98b91a4f10ea5890ae89107198167b4ea62a06c33cf4da777935570",
+    "cable:SeaMeWe-5": "c311f5127201216c6315035e1dd7878bda7bd012d9d3473f3fe08ae237bd31e3",
+    "cable:SouthernCross-X": "bd92ad9004c199ab9d5411153d3ba46b0d8b33af2cfe845f49b4a8ffe985a7c3",
+    "cable:TransPac-N": "a9d8143a93480bb53f3fb5946eae7d025829d8c806666e41783dc2433a811422",
+    "cable:WACS-2": "73983ba6eea27680cc030d044b5fd91b1298cfb7923e6857745da5ace0d47e4b",
+    "disaster:earthquake": "7abe44ac8c27f3ae6ca89fb1d4f294f4d5aeabcf563e7e751bd9f97107ffc595",
+    "disaster:hurricane": "69595656f30e4fe76d06121560f6b2fb1feb2e46d5e4fa836fb18f540eb68528",
+    "cascade:Europe-Asia": "a4478c2538fbd1e4b6509e79db0292b5ffdf82f47c2bce3bd69895d414e1a134",
+}
+
+# Step digests behind two of the answers above (sha256 of each step output's
 # canonical JSON).
 GOLDEN_CASE4_STEP_DIGESTS = {
     "s1": "53993f998f048fe5a5696ec2525717925c2df14981106d4e7afdfa21e93871da",
@@ -104,7 +151,8 @@ def test_case_query_digest_is_pinned(golden_world, case):
     if case == 4:
         assert result.execution.outputs["final"]["identified_cable_name"] == "SeaMeWe-5"
         assert _step_digests(result) == GOLDEN_CASE4_STEP_DIGESTS
-    assert result.artifact_digest() == GOLDEN_CASE_DIGESTS[case]
+    assert result.answer_digest() == GOLDEN_CASE_ANSWER_DIGESTS[case]
+    assert result.code_digest() == GOLDEN_CASE_CODE_DIGESTS[case]
 
 
 @pytest.fixture(scope="module")
@@ -114,14 +162,45 @@ def campaign_system(golden_world):
 
 def test_campaign_matrix_is_the_pinned_one(golden_world):
     jobs = CampaignSpec.for_world(golden_world, cascades=True).expand()
-    assert [job.tag for job in jobs] == list(GOLDEN_CAMPAIGN_DIGESTS)
+    assert [job.tag for job in jobs] == list(GOLDEN_CAMPAIGN_ANSWER_DIGESTS)
+    assert list(GOLDEN_CAMPAIGN_CODE_DIGESTS) == list(GOLDEN_CAMPAIGN_ANSWER_DIGESTS)
 
 
-@pytest.mark.parametrize("tag", list(GOLDEN_CAMPAIGN_DIGESTS))
+@pytest.mark.parametrize("tag", list(GOLDEN_CAMPAIGN_ANSWER_DIGESTS))
 def test_campaign_job_digest_is_pinned(golden_world, campaign_system, tag):
     jobs = {job.tag: job for job in CampaignSpec.for_world(golden_world, cascades=True).expand()}
     result = campaign_system.answer(jobs[tag].query)
     assert result.execution.succeeded
     if tag == "cascade:Europe-Asia":
         assert _step_digests(result) == GOLDEN_CASCADE_STEP_DIGESTS
-    assert result.artifact_digest() == GOLDEN_CAMPAIGN_DIGESTS[tag]
+    assert result.answer_digest() == GOLDEN_CAMPAIGN_ANSWER_DIGESTS[tag]
+    assert result.code_digest() == GOLDEN_CAMPAIGN_CODE_DIGESTS[tag]
+
+
+def golden_roots() -> dict:
+    """The pinned root of every case (``case:<n>``) and campaign job."""
+    pins = [(f"case:{case}", answer, GOLDEN_CASE_CODE_DIGESTS[case])
+            for case, answer in GOLDEN_CASE_ANSWER_DIGESTS.items()]
+    pins += [(tag, answer, GOLDEN_CAMPAIGN_CODE_DIGESTS[tag])
+             for tag, answer in GOLDEN_CAMPAIGN_ANSWER_DIGESTS.items()]
+    return {tag: hashlib.sha256((answer + code).encode("ascii")).hexdigest()
+            for tag, answer, code in pins}
+
+
+def test_root_is_the_hash_of_the_answer_and_code_pins(golden_world):
+    result = ArachNet.for_world(golden_world, curate=False).answer(CASE_QUERIES[1])
+    assert result.artifact_digest() == golden_roots()["case:1"]
+
+
+def test_template_comment_moves_code_pins_only(golden_world, monkeypatch):
+    # A comment in one transform template changes every source that uses
+    # it and nothing that source computes.
+    template = codegen.TRANSFORM_TEMPLATES["build_report"]
+    monkeypatch.setitem(codegen.TRANSFORM_TEMPLATES, "build_report",
+                        template.replace('    """Assemble', '    # reworded\n    """Assemble', 1))
+    system = ArachNet.for_world(golden_world, curate=False)
+    for case in (1, 2):
+        result = system.answer(CASE_QUERIES[case])
+        assert "build_report" in result.solution.source_code
+        assert result.answer_digest() == GOLDEN_CASE_ANSWER_DIGESTS[case]
+        assert result.code_digest() != GOLDEN_CASE_CODE_DIGESTS[case]
