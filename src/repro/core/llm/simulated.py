@@ -12,7 +12,6 @@ entirely behind the ``LLMClient`` seam.
 from __future__ import annotations
 
 import json
-import threading
 import time
 
 from repro.core.llm import knowledge
@@ -25,23 +24,7 @@ class SimulatedLLM:
 
     model_name = "simulated-expert-v1"
 
-    def __init__(self, fail_first_attempts: int = 0):
-        # ``fail_first_attempts`` deliberately garbles early completions so
-        # tests can exercise the agents' parse-retry loop.
-        self._fail_first_attempts = fail_first_attempts
-        self._calls = 0
-        # The serve worker pool drives one backend from many threads; the
-        # counter must not under-count (it decides which completions
-        # ``fail_first_attempts`` garbles).
-        self._count_lock = threading.Lock()
-
     def complete(self, request: LLMRequest) -> LLMResponse:
-        with self._count_lock:
-            self._calls += 1
-            calls = self._calls
-        if calls <= self._fail_first_attempts:
-            return LLMResponse(text="I think the answer might involve cables…",
-                               model=self.model_name)
         handler = {
             "querymind": self._querymind,
             "workflowscout": self._workflowscout,
@@ -118,8 +101,7 @@ class SimulatedHostedLLM(SimulatedLLM):
 
     model_name = "simulated-expert-v1-hosted"
 
-    def __init__(self, latency_s: float = 0.05, fail_first_attempts: int = 0):
-        super().__init__(fail_first_attempts=fail_first_attempts)
+    def __init__(self, latency_s: float = 0.05):
         if latency_s < 0:
             raise ValueError("latency_s must be >= 0")
         self.latency_s = latency_s

@@ -9,13 +9,12 @@ latency signature with the correct onset.
 from __future__ import annotations
 
 import threading
-from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain, repeat
 
 from repro.traceroute.probes import build_probe_fleet, probes_in_region, targets_in_region
-from repro.traceroute.rtt import PathResolver, sample_noise
+from repro.traceroute.rtt import PathResolver, noise_grid
 from repro.synth.geography import Region
 from repro.synth.scenarios import LatencyIncident
 from repro.synth.world import SyntheticWorld
@@ -73,7 +72,7 @@ class _CampaignShape:
     ``pairs`` holds ``(probe_id, src_country, src_asn, dst_asn,
     dst_country)`` per (probe, target) and ``columns`` the same five fields
     as one tuple each; ``stamps`` the sampling times;
-    ``factors`` ``1 + sample_noise`` for every (stamp, pair), stamp-major;
+    ``factors`` the :func:`noise_grid` of every (stamp, pair), stamp-major;
     ``hops`` one hop list per failed-link set: ``(base_rtt_ms, hop_count,
     link_ids)`` per pair, ``(None, 0, ())`` when unreachable.
     """
@@ -97,12 +96,8 @@ class _CampaignShape:
             stamps.append(ts)
             ts += spec.interval_s
         self.stamps = tuple(stamps)
-        # A generator, not a list: the grid never exists as Python floats.
-        self.factors = array("d", (
-            1.0 + sample_noise(src_asn, dst_asn, ts)
-            for ts in self.stamps
-            for _, _, src_asn, dst_asn, _ in self.pairs
-        ))
+        self.factors = noise_grid(
+            [(src_asn, dst_asn) for _, _, src_asn, dst_asn, _ in self.pairs], self.stamps)
         self.hops: OrderedDict[frozenset[str], tuple[tuple, ...]] = OrderedDict()
 
 

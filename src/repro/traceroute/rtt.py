@@ -12,6 +12,8 @@ geometry gets longer and the RTT steps up.
 from __future__ import annotations
 
 import hashlib
+from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.nautilus.mapping import observed_link_rtt_ms
@@ -24,15 +26,37 @@ _PER_HOP_MS = 0.5
 _LAST_MILE_MS = 4.0
 
 
+def _noise(digests: Iterable[bytes], base: float = 0.0) -> list[float]:
+    """``base`` plus the relative noise each sha256 digest draws, uniform
+    in ±3%: the one digest-to-noise mapping behind every sampled RTT."""
+    return [base + (int.from_bytes(digest[:8], "big") / 2**64 - 0.5) * 0.06
+            for digest in digests]
+
+
 def sample_noise(src_asn: int, dst_asn: int, ts: float) -> float:
     """Deterministic relative noise of one RTT sample, uniform in ±3%.
 
     The one definition behind every sampled RTT: single measurements
-    (:meth:`PathResolver.measured_rtt_ms`) and whole campaigns scale a
-    path's base RTT by ``1 + sample_noise(...)``.
+    (:meth:`PathResolver.measured_rtt_ms`) and whole campaigns
+    (:func:`noise_grid`) scale a path's base RTT by ``1 + sample_noise(...)``.
     """
-    digest = hashlib.sha256(f"{src_asn}-{dst_asn}-{ts}".encode()).digest()
-    return (int.from_bytes(digest[:8], "big") / 2**64 - 0.5) * 0.06
+    return _noise((hashlib.sha256(f"{src_asn}-{dst_asn}-{ts}".encode()).digest(),))[0]
+
+
+def noise_grid(asn_pairs: Sequence[tuple[int, int]], stamps: Sequence[float]) -> array:
+    """``1 + sample_noise(src_asn, dst_asn, ts)`` for every stamp and
+    ``(src_asn, dst_asn)`` pair, stamp-major, bit for bit.
+
+    The hashed text is ``f"{src_asn}-{dst_asn}-"`` plus ``f"{ts}"``, so each
+    pair's prefix and each stamp's suffix is encoded once, not once per
+    sample.
+    """
+    prefixes = [f"{src_asn}-{dst_asn}-".encode() for src_asn, dst_asn in asn_pairs]
+    sha256 = hashlib.sha256
+    grid = array("d")
+    for suffix in [f"{ts}".encode() for ts in stamps]:
+        grid.extend(_noise([sha256(prefix + suffix).digest() for prefix in prefixes], 1.0))
+    return grid
 
 
 @dataclass(frozen=True)

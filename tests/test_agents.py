@@ -14,7 +14,7 @@ from repro.core.llm.simulated import SimulatedLLM
 from repro.core.pipeline import build_data_context
 from repro.core.registry import default_registry
 
-from scripted_llm import ScriptedLLM
+from scripted_llm import GarblingLLM, ScriptedLLM
 
 CS1_QUERY = "Identify the impact at a country level due to SeaMeWe-5 cable failure"
 CS2_QUERY = ("Identify the impact of severe earthquakes and hurricanes globally "
@@ -62,7 +62,7 @@ def test_querymind_flags_unknown_cable_blocking(world, registry, llm):
 
 
 def test_querymind_retry_on_malformed(world, registry):
-    llm = SimulatedLLM(fail_first_attempts=1)
+    llm = GarblingLLM(SimulatedLLM())
     agent = QueryMind(llm, registry)
     analysis = agent.analyze(CS1_QUERY, build_data_context(world))
     assert analysis.intent == "cable_failure_impact"

@@ -16,7 +16,7 @@ from repro.core.llm.simulated import SimulatedLLM
 from repro.core.pipeline import build_data_context
 from repro.core.registry import default_registry
 
-from scripted_llm import ScriptedLLM
+from scripted_llm import GarblingLLM, ScriptedLLM
 
 
 # -- JSON extraction ------------------------------------------------------------
@@ -178,7 +178,7 @@ def test_simulated_llm_unknown_agent():
 
 
 def test_simulated_llm_fail_first_attempts(world):
-    llm = SimulatedLLM(fail_first_attempts=1)
+    llm = GarblingLLM(SimulatedLLM())
     prompt = querymind_prompt(
         "cable failure impact of FALCON",
         default_registry().to_prompt_text(),
@@ -188,4 +188,4 @@ def test_simulated_llm_fail_first_attempts(world):
     payload = complete_json(llm, request, max_attempts=3)
     assert payload["intent"] == "cable_failure_impact"
     with pytest.raises(LLMParseError):  # the garbled first attempt alone fails
-        complete_json(SimulatedLLM(fail_first_attempts=1), request, max_attempts=1)
+        complete_json(GarblingLLM(SimulatedLLM()), request, max_attempts=1)

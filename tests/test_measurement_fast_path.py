@@ -31,6 +31,7 @@ from repro.synth.world import WorldConfig, build_world
 from repro.topology.relations import AdjacencyIndex, ASGraph
 from repro.traceroute import campaign as campaign_module
 from repro.traceroute.api import latency_series, paths_crossing_links, run_campaign
+from repro.traceroute.rtt import sample_noise
 from repro.traceroute.campaign import (
     CAMPAIGN_MEMO_FAILURE_SETS,
     CAMPAIGN_MEMO_SHAPES,
@@ -239,18 +240,18 @@ def test_campaign_memo_is_bounded(small_world, monkeypatch):
 
 def test_concurrent_campaigns_build_one_noise_grid(monkeypatch):
     # More threads than cores, switching often: without the single-flight
-    # lock a second thread would draw the grid again.
+    # lock a second thread would build the grid again.
     world = build_world(WorldConfig(seed=7))
     spec = CampaignSpec(Region.EUROPE, Region.ASIA, 0.0, 7 * DAY)
     incidents = [make_latency_incident(world, "SeaMeWe-5")]
-    draws = []
-    real_noise = campaign_module.sample_noise
+    builds = []
+    real_grid = campaign_module.noise_grid
 
-    def counting_noise(*args):
-        draws.append(args)
-        return real_noise(*args)
+    def counting_grid(*args):
+        builds.append(args)
+        return real_grid(*args)
 
-    monkeypatch.setattr(campaign_module, "sample_noise", counting_noise)
+    monkeypatch.setattr(campaign_module, "noise_grid", counting_grid)
     start = threading.Barrier(4)
     results = [None] * 4
 
@@ -270,9 +271,26 @@ def test_concurrent_campaigns_build_one_noise_grid(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     shape = campaign_memo(world).shape(world, spec)
-    assert len(draws) == len(shape.factors) == len(shape.pairs) * len(shape.stamps)
+    assert len(builds) == 1
+    assert len(shape.factors) == len(shape.pairs) * len(shape.stamps)
     assert results[0]["ts"] and len({id(table) for table in results}) == 4
     assert len({canonical_json(table) for table in results}) == 1
+
+
+@pytest.mark.parametrize("start", (0, 0.0), ids=("int-start", "float-start"))
+def test_noise_grid_is_one_plus_sample_noise(seeded_world, start):
+    # Every region pair over a day at 6-hour stamps, plus the case-4 shape;
+    # an int start stamps 0, 21600.0, ... and hashes "0" for the first.
+    specs = [CampaignSpec(src, dst, start, DAY, interval_s=6 * 3600.0)
+             for src in Region for dst in Region]
+    specs.append(CampaignSpec(Region.EUROPE, Region.ASIA, start, 7 * DAY))
+    memo = campaign_module.CampaignMemo()
+    for spec in specs:
+        shape = memo.shape(seeded_world, spec)
+        expected = [1.0 + sample_noise(src_asn, dst_asn, ts)
+                    for ts in shape.stamps for _, _, src_asn, dst_asn, _ in shape.pairs]
+        assert shape.factors.tolist() == expected
+        assert repr(shape.stamps[0]) == repr(start)
 
 
 def _assert_series_equal_oracle(table, rows, group_by, bin_seconds):
