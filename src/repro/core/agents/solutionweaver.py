@@ -38,4 +38,4 @@ class SolutionWeaver(Agent):
         plan = self._ask(prompt, validator=_validate_payload)
         known_ids = {step.id for step in design.chosen.steps}
         plan["step_order"] = [sid for sid in plan["step_order"] if sid in known_ids]
-        return generate_solution(design, plan, analysis.query)
+        return generate_solution(design, plan, analysis.query, self._registry)

@@ -22,18 +22,25 @@ import json
 from types import CodeType
 
 from repro.core.artifacts import GeneratedSolution, StepType, WorkflowDesign
+from repro.core.registry import Registry, parse_field_path
 
 # ---------------------------------------------------------------------------
 # Transform template library
 # ---------------------------------------------------------------------------
 
 TRANSFORM_TEMPLATES: dict[str, str] = {}
+#: Each transform's bounded-field paths, in the registry's syntax
+#: (:func:`~repro.core.registry.parse_field_path`).
+TRANSFORM_BOUNDED_FIELDS: dict[str, tuple[str, ...]] = {}
 
 
-def _register(name: str, code: str) -> None:
+def _register(name: str, code: str, bounded_fields: tuple[str, ...] = ()) -> None:
     if name in TRANSFORM_TEMPLATES:
         raise ValueError(f"duplicate transform template {name!r}")
+    for path in bounded_fields:
+        parse_field_path(path)
     TRANSFORM_TEMPLATES[name] = code.rstrip() + "\n"
+    TRANSFORM_BOUNDED_FIELDS[name] = bounded_fields
 
 
 _register("build_report", '''
@@ -58,7 +65,7 @@ def t_build_report(ranking, dependencies, title):
         "context": context,
         "row_count": len(rows) if isinstance(rows, list) else 1,
     }
-''')
+''', bounded_fields=("ranking[].score", "ranking[].capacity_lost_gbps"))
 
 
 _register("aggregate_impact_by_country", '''
@@ -143,7 +150,7 @@ def t_aggregate_impact_by_country(dependencies, locations, all_links):
             6,
         )
     return per_country
-''')
+''', bounded_fields=("*.capacity_lost_gbps", "*.score"))
 
 
 _register("rank_countries_by_impact", '''
@@ -152,7 +159,7 @@ def t_rank_countries_by_impact(impacts):
     rows = list(impacts.values()) if isinstance(impacts, dict) else list(impacts)
     rows.sort(key=lambda r: (r.get("score", 0.0), r.get("ips_affected", 0)), reverse=True)
     return rows
-''')
+''', bounded_fields=("[].capacity_lost_gbps", "[].score"))
 
 
 _register("split_events_by_kind", '''
@@ -191,7 +198,7 @@ def t_combine_reports(reports_a, reports_b=None):
         "country_ranking": ranking,
         "total_capacity_lost_gbps": round(capacity, 1),
     }
-''')
+''', bounded_fields=("country_ranking[].score",))
 
 
 _register("filter_cables_by_regions", '''
@@ -348,7 +355,7 @@ def t_build_cascade_timeline(impact, cascade, path_changes, latency_series, scop
         "degraded_latency_pairs": sorted(degraded_pairs),
         "cascade_rounds": cascade.get("total_rounds", 0),
     }
-''')
+''', bounded_fields=("country_ranking[].score",))
 
 
 _register("summarize_latency_anomalies", '''
@@ -455,7 +462,7 @@ def t_score_suspect_cables(anomaly_summary, measurements, mappings):
         "margin": round(margin, 4),
         "vanished_link_count": len(vanished_votes),
     }
-''')
+''', bounded_fields=("ranking[].score",))
 
 
 _register("synthesize_forensic_evidence", '''
@@ -536,7 +543,7 @@ def t_synthesize_forensic_evidence(latency_summary, suspects, bgp_anomalies,
         "strands": strands,
         "narrative": "\\n".join(lines),
     }
-''')
+''', bounded_fields=("confidence",))
 
 
 # ---------------------------------------------------------------------------
@@ -554,52 +561,68 @@ def _register_qa(name: str, code: str) -> None:
 
 _register_qa("sanity_bounds", '''
 def qa_sanity_bounds(results):
-    """Walk outputs checking value ranges: scores in [0,1], RTTs positive.
+    """Check each step's declared bounded fields: scores in [0,1], RTTs
+    non-negative.
 
-    Lists and tuples are sampled to their first 200 items.  A value is
-    named by the last dict key above it (``s1.rtt_ms[3]`` is an
-    ``rtt_ms``); scalars are checked in their container's loop.
+    ``BOUNDED_FIELDS`` gives each step's fields as a tree of dict keys,
+    ``*`` (every value of a map) and ``[]`` (every item of a list or
+    tuple); nothing else of a step is read.  Lists are sampled to their
+    first 200 items and violations come in depth-first data order.  A
+    value is named by its last key (``s1.rtt_ms[3]`` is an ``rtt_ms``).
+    A column of scalars is checked in one pass, and its items formatted
+    only when the pass finds a violation.
     """
+    from functools import partial
+    from operator import and_, ge, gt, is_not, le
+
     violations = []
     unit_leaves = {"score", "confidence", "p_value", "fraction"}
     positive_leaves = {"rtt_ms", "median_rtt_ms", "capacity_lost_gbps"}
-    bounded = unit_leaves | positive_leaves
-    leaves = {}  # str key -> the name it gives its values
+    low, high = -1e-9, 1.0 + 1e-9
 
     def check(path, leaf, value):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             return
-        if leaf in unit_leaves and not (-1e-9 <= value <= 1.0 + 1e-9):
+        if leaf in unit_leaves and not (low <= value <= high):
             violations.append(f"{path}={value} outside [0,1]")
         if leaf in positive_leaves and value < 0:
             violations.append(f"{path}={value} negative")
 
-    def walk(path, leaf, value):
+    def clean(leaf, column):
+        # Comparisons skip None and pass bools; anything else that cannot
+        # compare (a string) raises and sends the column to check().
+        try:
+            values = [*filter(partial(is_not, None), column)]
+            if leaf in unit_leaves:
+                return all(map(and_, map(partial(le, low), values),
+                               map(partial(ge, high), values)))
+            return leaf not in positive_leaves or not any(map(partial(gt, 0), values))
+        except TypeError:
+            return False
+
+    def walk(path, leaf, value, shape):
         if isinstance(value, dict):
+            each = shape.get("*")
             for key, item in value.items():
-                name = leaves.get(key) if type(key) is str else None
-                if name is None:
-                    name = f"{key}".rsplit(".", 1)[-1].split("[")[0]
-                    if type(key) is str:
-                        leaves[key] = name
-                if isinstance(item, (dict, list, tuple)):
-                    walk(f"{path}.{key}", name, item)
-                elif name in bounded:
-                    check(f"{path}.{key}", name, item)
-        else:
-            scalars = leaf in bounded
-            for i, item in enumerate(value[:200]):
-                if isinstance(item, (dict, list, tuple)):
-                    walk(f"{path}[{i}]", leaf, item)
-                elif scalars:
+                child = shape.get(key) if each is None else each
+                if child is not None:
+                    walk(f"{path}.{key}", leaf if each is not None else key, item, child)
+        elif isinstance(value, (list, tuple)):
+            child = shape.get("[]")
+            sample = value[:200]
+            if child:
+                for i, item in enumerate(sample):
+                    walk(f"{path}[{i}]", leaf, item, child)
+            elif child is not None and not clean(leaf, sample):
+                for i, item in enumerate(sample):
                     check(f"{path}[{i}]", leaf, item)
+        elif not shape:
+            check(path, leaf, value)
 
     for step_id, output in results.items():
-        leaf = step_id.rsplit(".", 1)[-1].split("[")[0]
-        if isinstance(output, (dict, list, tuple)):
-            walk(step_id, leaf, output)
-        elif leaf in bounded:
-            check(step_id, leaf, output)
+        shape = BOUNDED_FIELDS.get(step_id)
+        if shape:
+            walk(step_id, step_id, output, shape)
     return {"passed": not violations, "violations": violations[:20],
             "violation_count": len(violations)}
 ''')
@@ -685,21 +708,36 @@ def qa_consistency_cross_source(results):
 
 _register_qa("significance_assessment", '''
 def qa_significance_assessment(results):
-    """Collect p-values across outputs; flag weak statistical support."""
+    """Collect the declared p-values; flag weak statistical support.
+
+    Reads the ``p_value`` of every dict that a ``BOUNDED_FIELDS`` path
+    ending in ``p_value`` leads to, sampling lists to their first 300 items.
+    """
     p_values = []
 
-    def walk(value):
-        if isinstance(value, dict):
-            if "p_value" in value and isinstance(value["p_value"], (int, float)):
-                p_values.append(float(value["p_value"]))
-            items = value.values()
-        else:
-            items = value[:300]
-        for item in items:
-            if isinstance(item, (dict, list, tuple)):
-                walk(item)
+    def reaching(shape):  # the part of a shape that leads to a p_value
+        return {key: sub for key, child in shape.items()
+                if (sub := reaching(child)) or key == "p_value"}
 
-    walk(results)
+    def walk(value, shape):
+        if isinstance(value, dict):
+            if "p_value" in shape and isinstance(value.get("p_value"), (int, float)):
+                p_values.append(float(value["p_value"]))
+            if "*" in shape:
+                for item in value.values():
+                    walk(item, shape["*"])
+            else:
+                for key, child in shape.items():
+                    if child and key in value:
+                        walk(value[key], child)
+        elif isinstance(value, (list, tuple)) and "[]" in shape:
+            for item in value[:300]:
+                walk(item, shape["[]"])
+
+    for step_id, output in results.items():
+        shape = reaching(BOUNDED_FIELDS.get(step_id, {}))
+        if shape:
+            walk(output, shape)
     significant = sum(1 for p in p_values if p < 0.01)
     return {
         "passed": not p_values or significant > 0,
@@ -771,12 +809,41 @@ def compile_solution(source: str) -> CodeType:
     return compile(source, "<arachnet-generated>", "exec")
 
 
+def bounded_field_shapes(steps, registry: Registry) -> dict[str, dict]:
+    """Each step's declared bounded fields as one tree, as the generated
+    QA checks read them: a dict per path segment, ``{}`` where a path ends.
+
+    A registry step's paths come from its entry, a transform's from
+    :data:`TRANSFORM_BOUNDED_FIELDS`; a foreach step's collected list adds
+    a leading ``[]``.  Steps that declare nothing are left out.
+    """
+    shapes = {}
+    for step in steps:
+        if step.step_type is StepType.REGISTRY:
+            declared = registry.get(step.target).bounded_fields
+            prefix = ("[]",) if step.foreach else ()
+        else:
+            declared, prefix = TRANSFORM_BOUNDED_FIELDS[step.target], ()
+        shape: dict = {}
+        for path in declared:
+            node = shape
+            for segment in prefix + parse_field_path(path):
+                node = node.setdefault(segment, {})
+        if shape:
+            shapes[step.id] = shape
+    return shapes
+
+
 def generate_solution(
     design: WorkflowDesign,
     plan: dict,
     query: str,
+    registry: Registry,
 ) -> GeneratedSolution:
-    """Render a workflow design plus weaver plan into executable source."""
+    """Render a workflow design plus weaver plan into executable source.
+
+    ``registry`` supplies each registry step's declared bounded fields.
+    """
     steps_by_id = {step.id: step for step in design.chosen.steps}
     order = [sid for sid in plan.get("step_order", []) if sid in steps_by_id]
     for step in design.chosen.steps:  # append anything the plan missed
@@ -818,6 +885,15 @@ def generate_solution(
         emit("")
         emit(QA_TEMPLATES[name].strip())
         emit("")
+
+    emit("")
+    emit("# Each step's declared bounded fields, read by the QA checks: \"*\" is")
+    emit("# every value of a map, \"[]\" every item of a list, {} a field's end.")
+    emit("BOUNDED_FIELDS = {")
+    for sid, shape in bounded_field_shapes([steps_by_id[sid] for sid in order], registry).items():
+        emit(f'    "{sid}": {json.dumps(shape)},')
+    emit("}")
+    emit("")
 
     defaults_repr = repr(design.param_defaults)
     emit("")

@@ -6,6 +6,20 @@ inputs/outputs and constraints — "a measurement API for intelligent
 composition" that scales linearly with available tools.  Entries bind to
 real callables through a dotted ``callable_ref`` resolved by the tool
 catalog at execution time.
+
+An entry also declares the paths of its *bounded fields*: the values the
+generated workflows' ``sanity_bounds`` check holds to a range (``score``,
+``confidence``, ``p_value`` and ``fraction`` in [0, 1]; ``rtt_ms``,
+``median_rtt_ms`` and ``capacity_lost_gbps`` non-negative) and the
+``p_value`` fields ``significance_assessment`` counts.  The checks read
+those paths and nothing else of a step's output.  A path is dot-separated
+from the output's root: a name is that key of a dict, ``*`` every value of
+a data-keyed map, and ``[]`` after a segment (or alone) every item of a
+list or tuple.  ``*.candidates[].score`` is the ``score`` of every
+candidate of every value of a map.  A path ends in a name, optionally
+followed by ``[]``s: the field is named by its last key.  An entry that
+emits a bounded field it does not declare goes unchecked, which
+``tests/test_qa_walks.py`` reports as a hole.
 """
 
 from __future__ import annotations
@@ -29,6 +43,7 @@ class RegistryEntry:
     cost_hint: str = "cheap"  # "cheap" | "moderate" | "expensive"
     callable_ref: str = ""  # dotted path, e.g. "repro.nautilus.api:get_cable_info"
     provenance: str = "curated"  # "curated" | "curator"
+    bounded_fields: tuple[str, ...] = ()  # paths the QA checks read, see module doc
 
     def __post_init__(self) -> None:
         if "." not in self.name:
@@ -37,6 +52,8 @@ class RegistryEntry:
             raise ValueError(f"name {self.name!r} does not match framework {self.framework!r}")
         if not self.capabilities:
             raise ValueError(f"entry {self.name!r} declares no capabilities")
+        for path in self.bounded_fields:
+            parse_field_path(path)
 
     def matches(self, wanted_capabilities: list[str]) -> int:
         """How many wanted capability tags this entry provides."""
@@ -54,7 +71,31 @@ class RegistryEntry:
             "constraints": list(self.constraints),
             "cost_hint": self.cost_hint,
             "provenance": self.provenance,
+            "bounded_fields": list(self.bounded_fields),
         }
+
+
+def parse_field_path(path: str) -> tuple[str, ...]:
+    """The segments of a bounded-field path: dict keys, ``*`` and ``[]``.
+
+    ``"*.median_rtt_ms[]"`` is ``("*", "median_rtt_ms", "[]")``.  Raises
+    ``ValueError`` unless every key is an identifier and the path ends in
+    a key, optionally followed by ``[]``s.
+    """
+    segments: list[str] = []
+    for part in path.split("."):
+        key = part.rstrip("[]")
+        items = part[len(key):]
+        if items != "[]" * (len(items) // 2) or not (key or items) or (
+                key and key != "*" and not key.isidentifier()):
+            raise ValueError(f"bad bounded-field path {path!r}")
+        if key:
+            segments.append(key)
+        segments.extend(("[]",) * (len(items) // 2))
+    named = [segment for segment in segments if segment != "[]"]
+    if not named or named[-1] == "*":
+        raise ValueError(f"bounded-field path {path!r} does not end in a key")
+    return tuple(segments)
 
 
 class RegistryError(KeyError):
@@ -156,6 +197,7 @@ def _entry(
     callable_ref: str,
     constraints: list[str] | None = None,
     cost_hint: str = "cheap",
+    bounded_fields: tuple[str, ...] = (),
 ) -> RegistryEntry:
     return RegistryEntry(
         name=name,
@@ -167,6 +209,7 @@ def _entry(
         constraints=tuple(constraints or ()),
         cost_hint=cost_hint,
         callable_ref=callable_ref,
+        bounded_fields=bounded_fields,
     )
 
 
@@ -200,6 +243,7 @@ def default_registry() -> Registry:
         "repro.nautilus.api:map_ip_links_to_cables",
         constraints=["confidence is probabilistic; parallel systems may be ambiguous"],
         cost_hint="moderate",
+        bounded_fields=("*.confidence", "*.candidates[].score"),
     ))
     registry.add(_entry(
         "nautilus.get_cable_dependencies",
@@ -240,6 +284,7 @@ def default_registry() -> Registry:
         "repro.xaminer.api:process_event",
         constraints=["one event per call; combine reports for multi-event analyses"],
         cost_hint="moderate",
+        bounded_fields=("country_ranking[].score", "as_ranking[].fraction"),
     ))
     registry.add(_entry(
         "xaminer.country_impact",
@@ -248,6 +293,7 @@ def default_registry() -> Registry:
         [("failed_link_ids", "list[str]")],
         [("ranking", "list of {country,score,...} rows")],
         "repro.xaminer.api:country_impact",
+        bounded_fields=("[].score",),
     ))
     registry.add(_entry(
         "xaminer.as_impact",
@@ -256,6 +302,7 @@ def default_registry() -> Registry:
         [("failed_link_ids", "list[str]")],
         [("ranking", "list of {asn,fraction,isolated,...} rows")],
         "repro.xaminer.api:as_impact",
+        bounded_fields=("[].fraction",),
     ))
     registry.add(_entry(
         "xaminer.risk_profile",
@@ -280,6 +327,7 @@ def default_registry() -> Registry:
         [("reports", "list of process_event outputs")],
         [("combined", "dict {country_ranking,failed_cable_ids,...}")],
         "repro.xaminer.api:combine_impact_reports",
+        bounded_fields=("country_ranking[].score",),
     ))
 
     # --- BGP -----------------------------------------------------------------
@@ -333,6 +381,7 @@ def default_registry() -> Registry:
         "repro.traceroute.api:run_campaign",
         constraints=["cost scales with window/interval and probe counts"],
         cost_hint="expensive",
+        bounded_fields=("rtt_ms[]",),
     ))
     registry.add(_entry(
         "traceroute.latency_series",
@@ -343,6 +392,7 @@ def default_registry() -> Registry:
         [("series", "dict key -> bin columns {bin_start,median_rtt_ms,sample_count,"
                     "loss_count,loss_rate}, one tuple each, index i = bin i")],
         "repro.traceroute.api:latency_series",
+        bounded_fields=("*.median_rtt_ms[]",),
     ))
     registry.add(_entry(
         "traceroute.detect_latency_anomalies",
@@ -351,6 +401,7 @@ def default_registry() -> Registry:
         [("series_rows", "dict key -> bin columns from traceroute.latency_series")],
         [("anomalies", "list of {series_key,onset_ts,increase_pct,p_value,significant}")],
         "repro.traceroute.api:detect_latency_anomalies",
+        bounded_fields=("[].p_value",),
     ))
     registry.add(_entry(
         "traceroute.paths_crossing_links",
@@ -359,6 +410,7 @@ def default_registry() -> Registry:
         [("measurement_rows", "table from traceroute.run_campaign"), ("link_ids", "list[str]")],
         [("rows", "the crossing rows, as a table of the same columns and link_pool")],
         "repro.traceroute.api:paths_crossing_links",
+        bounded_fields=("rtt_ms[]",),
     ))
 
     # --- Topology -------------------------------------------------------------

@@ -307,6 +307,14 @@ def detect_routing_anomalies(
 # -- QA walks of generated workflows ----------------------------------------------
 
 
+UNIT_LEAVES = ("score", "confidence", "p_value", "fraction")
+POSITIVE_LEAVES = ("rtt_ms", "median_rtt_ms", "capacity_lost_gbps")
+
+
+def _leaf(path):
+    return path.rsplit(".", 1)[-1].split("[")[0]
+
+
 def qa_sanity_bounds(results):
     """Walk outputs checking value ranges: scores in [0,1], RTTs positive."""
     violations = []
@@ -319,12 +327,10 @@ def qa_sanity_bounds(results):
             for i, item in enumerate(value[:200]):
                 walk(f"{path}[{i}]", item)
         elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            leaf = path.rsplit(".", 1)[-1].split("[")[0]
-            if leaf in ("score", "confidence", "p_value", "fraction") and not (
-                -1e-9 <= value <= 1.0 + 1e-9
-            ):
+            leaf = _leaf(path)
+            if leaf in UNIT_LEAVES and not (-1e-9 <= value <= 1.0 + 1e-9):
                 violations.append(f"{path}={value} outside [0,1]")
-            if leaf in ("rtt_ms", "median_rtt_ms", "capacity_lost_gbps") and value < 0:
+            if leaf in POSITIVE_LEAVES and value < 0:
                 violations.append(f"{path}={value} negative")
 
     for step_id, output in results.items():
@@ -354,3 +360,40 @@ def qa_significance_assessment(results):
         "p_value_count": len(p_values),
         "significant_at_1pct": significant,
     }
+
+
+def qa_bounded_paths(results):
+    """Every value the two walks above read, as ``(step id, segments)``.
+
+    A segment is a dict key, or ``"[]"`` for a list item.  The set holds
+    the path of each number ``qa_sanity_bounds`` names by a bounded key,
+    and the path of each dict ``qa_significance_assessment`` takes a
+    p-value from, plus ``"p_value"``; each walk samples lists as it does.
+    """
+    paths = set()
+
+    def sanity(step_id, path, segments, value):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                sanity(step_id, f"{path}.{key}", segments + (key,), item)
+        elif isinstance(value, list):
+            for i, item in enumerate(value[:200]):
+                sanity(step_id, f"{path}[{i}]", segments + ("[]",), item)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            if _leaf(path) in UNIT_LEAVES + POSITIVE_LEAVES:
+                paths.add((step_id, segments))
+
+    def significance(step_id, segments, value):
+        if isinstance(value, dict):
+            if "p_value" in value and isinstance(value["p_value"], (int, float)):
+                paths.add((step_id, segments + ("p_value",)))
+            for key, item in value.items():
+                significance(step_id, segments + (key,), item)
+        elif isinstance(value, list):
+            for item in value[:300]:
+                significance(step_id, segments + ("[]",), item)
+
+    for step_id, output in results.items():
+        sanity(step_id, step_id, (), output)
+        significance(step_id, (), output)
+    return paths

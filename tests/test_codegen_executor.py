@@ -52,7 +52,7 @@ def test_count_loc_skips_blanks_and_comments():
     assert count_loc(source) == 2
 
 
-def test_generate_simple_registry_workflow(catalog):
+def test_generate_simple_registry_workflow(catalog, registry):
     steps = [
         WorkflowStep(id="s1", step_type=StepType.REGISTRY,
                      target="nautilus.list_cables", inputs={}),
@@ -60,14 +60,14 @@ def test_generate_simple_registry_workflow(catalog):
                      inputs={"ranking": "step:s1", "dependencies": "step:s1",
                              "title": 'const:"test"'}),
     ]
-    solution = generate_solution(_design(steps), _plan(["s1", "s2"]), "test query")
+    solution = generate_solution(_design(steps), _plan(["s1", "s2"]), "test query", registry)
     outcome = execute_solution(solution, catalog)
     assert outcome.succeeded, outcome.error
     assert outcome.outputs["final"]["title"] == "test"
     assert outcome.quality_report["sanity_bounds"]["passed"]
 
 
-def test_generate_foreach_workflow(catalog):
+def test_generate_foreach_workflow(catalog, registry):
     steps = [
         WorkflowStep(id="s1", step_type=StepType.REGISTRY,
                      target="xaminer.list_disasters",
@@ -81,7 +81,7 @@ def test_generate_foreach_workflow(catalog):
                              "seed": "const:0"},
                      foreach="step:s2.earthquake"),
     ]
-    solution = generate_solution(_design(steps), _plan(["s1", "s2", "s3"]), "q")
+    solution = generate_solution(_design(steps), _plan(["s1", "s2", "s3"]), "q", registry)
     outcome = execute_solution(solution, catalog)
     assert outcome.succeeded, outcome.error
     reports = outcome.outputs["results"]["s3"]
@@ -89,21 +89,21 @@ def test_generate_foreach_workflow(catalog):
     assert all("failed_cable_ids" in r for r in reports)
 
 
-def test_generate_unknown_transform_rejected():
+def test_generate_unknown_transform_rejected(registry):
     steps = [WorkflowStep(id="s1", step_type=StepType.TRANSFORM,
                           target="not_a_template", inputs={})]
     with pytest.raises(ValueError, match="no template"):
-        generate_solution(_design(steps), _plan(["s1"]), "q")
+        generate_solution(_design(steps), _plan(["s1"]), "q", registry)
 
 
-def test_param_defaults_flow_into_run(catalog):
+def test_param_defaults_flow_into_run(catalog, registry):
     steps = [
         WorkflowStep(id="s1", step_type=StepType.REGISTRY,
                      target="nautilus.get_cable_info",
                      inputs={"cable_name": "workflow:cable_name"}),
     ]
     solution = generate_solution(
-        _design(steps, defaults={"cable_name": "FALCON"}), _plan(["s1"], qa=()), "q"
+        _design(steps, defaults={"cable_name": "FALCON"}), _plan(["s1"], qa=()), "q", registry
     )
     outcome = execute_solution(solution, catalog)
     assert outcome.succeeded
@@ -145,12 +145,12 @@ def test_executor_rejects_wrong_shape(catalog):
     assert "unexpected shape" in outcome.error
 
 
-def test_generated_code_has_no_framework_imports(catalog):
+def test_generated_code_has_no_framework_imports(catalog, registry):
     steps = [
         WorkflowStep(id="s1", step_type=StepType.REGISTRY,
                      target="nautilus.list_cables", inputs={}),
     ]
-    solution = generate_solution(_design(steps), _plan(["s1"], qa=()), "q")
+    solution = generate_solution(_design(steps), _plan(["s1"], qa=()), "q", registry)
     assert "import repro" not in solution.source_code
     assert "from repro" not in solution.source_code
 

@@ -507,10 +507,10 @@ def test_live_replay_multi_event_one_case_per_incident(world, monkeypatch):
     ) == [
         ("eq-izmit-2026", "confirmed",
          "cb93f31e359011083cd1152d03716173749171938cd1a1c1e54211fa3e555186",
-         "abf8fe57139ba19d08ff121ef8d49b8d840135f6c4a5e8e4784485cf7ae3110b"),
+         "8250822b69d0b8735631564c6fe63d34ead3edd325d607c646e12b9fc6aa4b7c"),
         ("eq-taiwan-2026", "confirmed",
          "c416c3d7a57b980f0f38a17f9dfe3f93f8ecd845a4da83eadea3c6d1badf408d",
-         "2e0d9b102cfd269f60a6d5c6a63df33412d21b78eec2bf7f2b58ca5ea1919e0f"),
+         "ea3a86a5101d6fd19d7180f18f5554bac3e5b23cce03ffabcb4d5dff2fbef87c"),
     ]
 
 

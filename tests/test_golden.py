@@ -36,10 +36,10 @@ GOLDEN_CASE_ANSWER_DIGESTS = {
 # Code digests: the generated solution each query ran.  A template rewrite
 # moves these and no answer pin.
 GOLDEN_CASE_CODE_DIGESTS = {
-    1: "c311f5127201216c6315035e1dd7878bda7bd012d9d3473f3fe08ae237bd31e3",
-    2: "319db2d3547de23c4f7e30abc28f1496f49a293f2b656a07cc9ddc0e9084ec8e",
-    3: "a4478c2538fbd1e4b6509e79db0292b5ffdf82f47c2bce3bd69895d414e1a134",
-    4: "32d1a0e05c1adf3bef054d2fed367a5ad941df250ae1f9c461acc81f1813737c",
+    1: "bbb599d8ec29e3aee79625a203abf7ec1ae472b0d40b646e44fd5dd0b55b58bb",
+    2: "01b9db236d6051426cbab1545fb22d01f10f28c4da57647a348efc6eb31e0ce9",
+    3: "83bcc3725a699fe70dfb5a741a9a30268e2effa517cf9cc060aac8a106ed1289",
+    4: "7564a42c50c9a62a916926dac0869bf2ddb771423782a46eb671bbf7f29f3cb0",
 }
 
 # The seeded scenario matrix the campaign benchmark serves: every cable's
@@ -74,32 +74,32 @@ GOLDEN_CAMPAIGN_ANSWER_DIGESTS = {
 }
 
 GOLDEN_CAMPAIGN_CODE_DIGESTS = {
-    "cable:AAE-1": "250f7d4103f499d5ca2a3e608c0b5049f31cfd66f6aed788909c84623e0a06d9",
-    "cable:APG": "fda8d0134dd740da17df9c6b42865cd58c247c7e390feca41ffb67116c03907f",
-    "cable:ASE": "e7814ee11d6342ec9be24828486c38ff6c4c53b504ae58c422b61298a5398367",
-    "cable:AmericasCrossing": "af30f9a4a9fa8d1163c344c3f4b6d5b0888ed18f486913ab79f8ff29b436e7ae",
-    "cable:Amitie-X": "b901e0a13e015986b3679fbd0f2d64397cf09e3571da5be833c21f7ed044d040",
-    "cable:Atlantica-1": "dc0ec4c6b2d22d40fea15ce86da02a92cb5d00f10c90d1c943769c784eef0e30",
-    "cable:EASSy-2": "54059adc29d52d422d5a686b92f4a278b224c54d4c162266b16e15ea20214bfb",
-    "cable:EIG": "1f3cc6e79d3ac940ccc8b7eb17e8e03a90958af994fe116f9d4504634db42de5",
-    "cable:FALCON": "822a45d1b68f7ec9ec32165d413f5ed2a4c5e8873f101ae0fe6b2a047ba840f7",
-    "cable:Hawk-3": "6b68b7c925c1f0321dd8ecef7c2ba248f39330667ab2a510cbb9be14bfae61d2",
-    "cable:Hibernia-N": "769cd85a7efcaa033ced96c2f1a4ed258cf2ad89d584ac477f321606c0eb197a",
-    "cable:IMEWE": "ddeaf02b9fb256dd5fd1c599285b20e97f978f7b63c2eeb038bf6b024128c8c2",
-    "cable:MedLoop": "3ef8c2ce9929b560decb0182a7edeac12c564704a4970cbe98c7386243e2ee76",
-    "cable:Monet-S": "be297ce741a35a3f7061fd39c4b72c65a7707d020a809f7dd6c04b046a726504",
-    "cable:OMR-West": "ca06f5fd9acf2d6f2140970393cacc7854e8d34f941de5a0a890caa591b073c5",
-    "cable:PacLight": "93d39d49641c9fc5d79388cd69210586d2ff44013cbba3151393515f8ce4a568",
-    "cable:SAFE-X": "b448564fd1d243366911451238dfc0a12393878e110c762ce382a0a485c57fc8",
-    "cable:SJC": "8c5680c4a57293a85b20b6d670cd801f46c22ef99eb7dbc6a89d568c4ad6d953",
-    "cable:SeaMeWe-4": "536415ada98b91a4f10ea5890ae89107198167b4ea62a06c33cf4da777935570",
-    "cable:SeaMeWe-5": "c311f5127201216c6315035e1dd7878bda7bd012d9d3473f3fe08ae237bd31e3",
-    "cable:SouthernCross-X": "bd92ad9004c199ab9d5411153d3ba46b0d8b33af2cfe845f49b4a8ffe985a7c3",
-    "cable:TransPac-N": "a9d8143a93480bb53f3fb5946eae7d025829d8c806666e41783dc2433a811422",
-    "cable:WACS-2": "73983ba6eea27680cc030d044b5fd91b1298cfb7923e6857745da5ace0d47e4b",
-    "disaster:earthquake": "7abe44ac8c27f3ae6ca89fb1d4f294f4d5aeabcf563e7e751bd9f97107ffc595",
-    "disaster:hurricane": "69595656f30e4fe76d06121560f6b2fb1feb2e46d5e4fa836fb18f540eb68528",
-    "cascade:Europe-Asia": "a4478c2538fbd1e4b6509e79db0292b5ffdf82f47c2bce3bd69895d414e1a134",
+    "cable:AAE-1": "204fb1783a5c004ae3fcb2e86006163daac75b6df3a320855fb3fd17385248c3",
+    "cable:APG": "eb53f463a9432c1c913bde96edf75f2057b5f7dce96a8f462da9d1c5134c68db",
+    "cable:ASE": "7ced818ef1f9c902264d97b0a6eafa2f40406cc36b8b0d553e41523eebee7a85",
+    "cable:AmericasCrossing": "0e10dccaf6d747600149244ebe3fc2c3f9a24508f123d9ffd4baefe6adfb2530",
+    "cable:Amitie-X": "b89fb27a5e2fdd2d9face0aa1056b42a8379ef9365fca775061d7cda316dfcde",
+    "cable:Atlantica-1": "5077126cc314f4ea884a36e2d5d9ff9c2bf706a15ae3b1850e0cad698e94307d",
+    "cable:EASSy-2": "3d42e4e0c60c14c0d33c2887e4be67cbd8209f834226c65c35ebc4d39cb03684",
+    "cable:EIG": "6cea47fd78590102d79fe050e9f457cd4c31d975131abc65b211ae40407a184f",
+    "cable:FALCON": "f7e650f8f0e4ab9d46737f848c722488e351045714deb607bd3781db7cbc9d30",
+    "cable:Hawk-3": "c43497f24dba194b955e0fd82d6183f3ececa90dc16bfe3ad0d13cb947b413e5",
+    "cable:Hibernia-N": "d7d43e1adae28b1c76cdc90049682807340293e02d7caecc9d478c3c8bc3031c",
+    "cable:IMEWE": "1a7d2cade5868295386bb838002d43096287344770d5150ab319ed2dc62cd383",
+    "cable:MedLoop": "bcc890e1d9e4cce1ed659527d0ae7540d9bcb6e6b570499bcaa632c9cd8207db",
+    "cable:Monet-S": "423ef993b77d6d7c3030bb0ccd8f9b4cb4e6a6b82a0a6d45e9febfac3d7e86b4",
+    "cable:OMR-West": "78cdb46c336d20a29fb9bba5c1a94a2ac808aedd8d452d09c8780b8fc8f34eb7",
+    "cable:PacLight": "5a25f7d1bc5eedf1b9ecb96ff31eff2d46411782f2d5dc6046a0779cbe87a6a9",
+    "cable:SAFE-X": "6a6349c4e287eeb0da01e23945db14a9ba55c4e082a3d2e5c2044a064ec47682",
+    "cable:SJC": "8c6c79756a7655cdc899abae34f500ae4f9b3940254f25b280586f7091c944c2",
+    "cable:SeaMeWe-4": "f418c34be38d586ddd98b9fd15e1f69254fdb3270b9fa64921cccc2dcf6dbb99",
+    "cable:SeaMeWe-5": "bbb599d8ec29e3aee79625a203abf7ec1ae472b0d40b646e44fd5dd0b55b58bb",
+    "cable:SouthernCross-X": "32fd83a2fae5a6837c4ba9ebadc37648fd4bb8ffa915dc14621b2911e094ee3f",
+    "cable:TransPac-N": "312f5f50957e7f9fd87bc3e506cdf054633dca412dadfc8a6d8e2e06ae661605",
+    "cable:WACS-2": "47338005bfed305f5013e41c480ee49d8645e427e97e75daa48acb103492d1b6",
+    "disaster:earthquake": "e804b7034597f8105e340f8024663fce068a807cb77cd4487428ae40db5daec2",
+    "disaster:hurricane": "05984932d1e7c694bb4c8e6f8c761ffaa0a4a28983300cde284e7276b7fb0605",
+    "cascade:Europe-Asia": "83bcc3725a699fe70dfb5a741a9a30268e2effa517cf9cc060aac8a106ed1289",
 }
 
 # Step digests behind two of the answers above (sha256 of each step output's
