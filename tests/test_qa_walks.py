@@ -7,8 +7,9 @@ bounded-field paths, as its registry entry or transform declares them.
 The oracles in ``measurement_oracles`` recurse into every value of every
 step instead.  Two things are held here:
 
-* the reports are equal, on real workflows and on random data built from
-  each declared shape, so reading less never changes what a check says;
+* the reports are equal, on real workflows, on one direct call of every
+  registry tool and on random data built from each declared shape, so
+  reading less never changes what a check says;
 * every value an oracle reads lies on a declared path
   (``qa_bounded_paths``), so no tool emits a bounded field it does not
   declare.  A new tool whose output has a ``score``, ``rtt_ms`` or
@@ -164,6 +165,67 @@ def test_declarations_cover_a_cold_live_replay(monkeypatch):
     assert report.completed_cases == 3 and answered
     for result in answered:
         _assert_declarations_hold(result)
+
+
+def _direct_calls(catalog, incident):
+    """One call of every registry tool: keyword arguments by entry name."""
+    start, end = incident.window_start, incident.window_end
+    deps = catalog.call("nautilus.get_cable_dependencies", cable_name="SeaMeWe-5")
+    events = catalog.call("xaminer.list_disasters", severe_only=True)
+    event = {"event_spec": events[0], "failure_probability": 1.0, "seed": 0}
+    report = catalog.call("xaminer.process_event", **event)
+    window = {"src_region": "europe", "dst_region": "asia",
+              "window_start": start, "window_end": end, "interval_s": 3600.0}
+    table = catalog.call("traceroute.run_campaign", **window)
+    series = catalog.call("traceroute.latency_series", measurement_rows=table,
+                          group_by="pair", bin_seconds=3600.0)
+    updates = catalog.call("bgp.fetch_updates", window_start=start, window_end=end)
+    return {
+        "nautilus.list_cables": {},
+        "nautilus.get_cable_info": {"cable_name": "SeaMeWe-5"},
+        "nautilus.map_ip_links_to_cables": {},
+        "nautilus.get_cable_dependencies": {"cable_name": "SeaMeWe-5"},
+        "nautilus.geolocate_ips": {"ips": deps["ips"][:50]},
+        "nautilus.sol_validate_link": {"link_id": deps["link_ids"][0], "observed_rtt_ms": 50.0},
+        "xaminer.process_event": event,
+        "xaminer.country_impact": {"failed_link_ids": deps["link_ids"]},
+        "xaminer.as_impact": {"failed_link_ids": deps["link_ids"]},
+        "xaminer.risk_profile": {"country_code": None},
+        "xaminer.list_disasters": {"severe_only": False},
+        "xaminer.combine_impact_reports": {"reports": [report, report]},
+        "bgp.fetch_updates": {"window_start": start, "window_end": end},
+        "bgp.detect_routing_anomalies": {"update_rows": updates, "window_start": start,
+                                         "window_end": end},
+        "bgp.summarize_path_changes": {"update_rows": updates},
+        "bgp.correlate_updates_with_window": {"update_rows": updates,
+                                              "anomaly_start": incident.onset,
+                                              "anomaly_end": incident.onset + 7200.0},
+        "traceroute.run_campaign": window,
+        "traceroute.latency_series": {"measurement_rows": table, "group_by": "pair",
+                                      "bin_seconds": 3600.0},
+        "traceroute.detect_latency_anomalies": {"series_rows": series},
+        "traceroute.paths_crossing_links": {"measurement_rows": table,
+                                            "link_ids": deps["link_ids"]},
+        "topology.as_dependency_scores": {},
+        "topology.propagate_cascade": {"initial_failed_link_ids": deps["link_ids"],
+                                       "initial_cable_ids": [deps["cable_id"]]},
+    }
+
+
+def test_declarations_cover_every_registry_tool_called_directly(registry, incident_catalog,
+                                                                incident):
+    # Some tools (as_impact, paths_crossing_links, combine_impact_reports)
+    # run in no workflow above; each tool runs here once.  A new entry
+    # needs a call in _direct_calls.
+    calls = _direct_calls(incident_catalog, incident)
+    assert sorted(calls) == registry.names()
+    outputs = {name: incident_catalog.call(name, **kwargs) for name, kwargs in calls.items()}
+    assert outputs["traceroute.detect_latency_anomalies"]  # rows with p-values
+    for name, output in outputs.items():
+        step = WorkflowStep(id="s1", step_type=StepType.REGISTRY, target=name)
+        bounded_fields = bounded_field_shapes([step], registry)
+        assert _holes({"s1": output}, bounded_fields) == [], name
+        _assert_checks_equal_oracle({"s1": output}, bounded_fields)
 
 
 def test_negative_rtt_in_a_table_column_is_reported(case_results, case4_fields):
